@@ -5,7 +5,7 @@
 // plan for two shards per client on average, and simulate one full
 // discrete-event round (drops, battery drain, tree aggregation). Reported:
 // generation / planning / round wall seconds, planning throughput in
-// clients*shards per second, and peak RSS.
+// clients per second, and peak RSS.
 //
 // Acceptance (exit non-zero on violation): the 1M-client case must finish
 // planning + one round in under 60 s with peak RSS under 4 GB.
@@ -52,7 +52,7 @@ struct SizeResult {
   double generate_s = 0.0;
   double plan_s = 0.0;
   double round_s = 0.0;
-  double throughput = 0.0;  // clients*shards per planning second
+  double throughput = 0.0;  // clients per planning second
   double makespan_s = 0.0;
   std::size_t completed = 0;
   std::size_t dropped = 0;
@@ -78,8 +78,7 @@ SizeResult run_size(std::size_t clients, std::size_t buckets) {
   const sched::BucketedLbapResult planned =
       sched::fed_lbap_bucketed(costs, total_shards, buckets);
   r.plan_s = plan_watch.seconds();
-  r.throughput = static_cast<double>(clients) *
-                 static_cast<double>(total_shards) / r.plan_s;
+  r.throughput = static_cast<double>(clients) / r.plan_s;
 
   fleet::FleetSimConfig config;
   config.shard_size = 100;
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   if (full) sizes.insert(sizes.begin() + 2, 30'000);
 
   common::Table table({"clients", "generate_s", "plan_s", "round_s",
-                       "plan_Mcs_per_s", "completed", "dropped", "peak_rss_mb"});
+                       "plan_Mclients_per_s", "completed", "dropped", "peak_rss_mb"});
   table.set_precision(3);
   obs::TraceWriter jsonl = bench::jsonl_writer("fleet_scaling");
   std::string sizes_json;
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
         .field("generate_s", r.generate_s)
         .field("plan_s", r.plan_s)
         .field("round_s", r.round_s)
-        .field("plan_throughput_cs_per_s", r.throughput)
+        .field("plan_clients_per_s", r.throughput)
         .field("makespan_s", r.makespan_s)
         .field("completed", r.completed)
         .field("dropped", r.dropped)
@@ -149,15 +148,15 @@ int main(int argc, char** argv) {
       .field("buckets", 64)
       .field("largest_clients", largest->clients)
       .field("largest_total_s", largest_total_s)
-      .field("largest_plan_throughput_cs_per_s", largest->throughput)
+      .field("largest_plan_clients_per_s", largest->throughput)
       .field("peak_rss_mb", largest->rss_mb)
       .field_raw("sizes", "[" + sizes_json + "]");
   std::filesystem::create_directories("bench_out");
   std::ofstream summary("bench_out/BENCH_fleet.json");
   summary << doc.str() << '\n';
 
-  std::printf("largest case: %zu clients, %.2f s total (plan %.2f s at %.1f "
-              "Mcs/s), peak RSS %.0f MB\n",
+  std::printf("largest case: %zu clients, %.2f s total (plan %.2f s at %.2f "
+              "Mclients/s), peak RSS %.0f MB\n",
               largest->clients, largest_total_s, largest->plan_s,
               largest->throughput / 1e6, largest->rss_mb);
   // Acceptance gate: 1M-client planning + one round < 60 s and < 4 GB RSS.

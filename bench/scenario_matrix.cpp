@@ -5,7 +5,8 @@
 // layer, replan every round with the cell's scheduler over the
 // dynamics-masked costs, and run the discrete-event round. Reported per
 // cell: summed makespan, total simulated energy, battery deaths, dropped
-// shards (planned minus survivor shards), and planning throughput.
+// shards (planned minus survivor shards), and planning throughput in clients
+// per second.
 //
 // Acceptance (exit non-zero on violation), on the charge-gated scenario:
 // fed_minenergy must spend strictly less total energy than fed_lbap while
@@ -53,7 +54,7 @@ struct CellResult {
   std::string policy;
   std::string scenario;
   double plan_s = 0.0;
-  double plan_throughput = 0.0;  // clients*shards per planning second
+  double plan_throughput = 0.0;  // clients planned per planning second
   double makespan_s = 0.0;       // summed over rounds
   double energy_wh = 0.0;
   std::size_t completed = 0;
@@ -130,9 +131,8 @@ CellResult run_cell(const std::string& policy, const std::string& scenario,
     r.net_switches += round_result.net_switches;
     r.revivals += round_result.revivals;
   }
-  r.plan_throughput = static_cast<double>(clients) *
-                      static_cast<double>(total_shards) *
-                      static_cast<double>(rounds) / r.plan_s;
+  r.plan_throughput =
+      static_cast<double>(clients) * static_cast<double>(rounds) / r.plan_s;
   return r;
 }
 
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
           .field("clients", clients)
           .field("rounds", rounds)
           .field("plan_s", r.plan_s)
-          .field("plan_throughput_cs_per_s", r.plan_throughput)
+          .field("plan_clients_per_s", r.plan_throughput)
           .field("makespan_s", r.makespan_s)
           .field("energy_wh", r.energy_wh)
           .field("completed", r.completed)
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
       .field("rounds", rounds)
       .field("policies", policies().size())
       .field("scenarios", fleet::scenario_names().size())
-      .field("min_plan_throughput_cs_per_s", min_throughput)
+      .field("min_plan_clients_per_s", min_throughput)
       .field("charge_gated_lbap_energy_wh", lbap.energy_wh)
       .field("charge_gated_minenergy_energy_wh", minenergy.energy_wh)
       .field("charge_gated_lbap_makespan_s", lbap.makespan_s)
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
   summary << doc.str() << '\n';
 
   std::printf("charge-gated: minenergy %.3f Wh vs lbap %.3f Wh "
-              "(makespan %.1f s vs %.1f s); min plan throughput %.1f Mcs/s\n",
+              "(makespan %.1f s vs %.1f s); min plan throughput %.2f Mclients/s\n",
               minenergy.energy_wh, lbap.energy_wh, minenergy.makespan_s,
               lbap.makespan_s, min_throughput / 1e6);
   // Acceptance gate: the energy-aware scheduler must strictly beat fed_lbap

@@ -223,12 +223,7 @@ std::vector<DynEvent> ClientDynamics::churn_events(const FleetState& state,
     }
   }
 
-  std::sort(events.begin(), events.end(),
-            [](const DynEvent& a, const DynEvent& b) {
-              if (a.time_s != b.time_s) return a.time_s < b.time_s;
-              if (a.kind != b.kind) return a.kind < b.kind;
-              return a.client < b.client;
-            });
+  std::sort(events.begin(), events.end());
   return events;
 }
 

@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -92,7 +93,10 @@ struct DynamicsConfig {
 /// The preset names, in matrix order.
 [[nodiscard]] const std::vector<std::string>& scenario_names();
 
-/// One dynamics event inside a round, at a time relative to the round start.
+/// One event inside a round, at a time relative to the round start. Rounds
+/// process events in (time, kind, client) order: at equal times every
+/// dynamics kind ranks before a report's arrival (kFinish), as availability
+/// windows are half-open — a closure at the finish instant cancels it.
 struct DynEvent {
   enum class Kind : std::uint8_t {
     kAvailOff = 0,  // an in-flight client's availability window closed
@@ -100,11 +104,16 @@ struct DynEvent {
     kChargeEdge = 2,  // plugged state flipped (observational)
     kNetSwitch = 3,   // WiFi<->LTE transition
     kJoin = 4,        // churn arrival (new client id appended)
+    kFinish = 5,      // an in-flight client's report arrives (simulator only)
   };
   double time_s = 0.0;
   Kind kind = Kind::kAvailOff;
   /// Client id; for kJoin, the arrival sequence number within the round.
   std::uint32_t client = 0;
+
+  friend bool operator<(const DynEvent& a, const DynEvent& b) {
+    return std::tie(a.time_s, a.kind, a.client) < std::tie(b.time_s, b.kind, b.client);
+  }
 };
 
 /// Bitwise-stable snapshot of the dynamics state (see snapshot()/restore()).

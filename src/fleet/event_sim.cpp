@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -78,36 +77,24 @@ FleetRoundResult FleetSimulator::run_round(
   FleetRoundResult result;
   result.round = round;
 
-  // One heap for everything: finish events and dynamics events, ordered by
-  // (time, kind, client). Dynamics kinds (0..4, fleet/dynamics.hpp) rank
-  // before kFinish at equal times — availability windows are half-open, so a
-  // closure at exactly the finish instant cancels the report. With dynamics
-  // off only kFinish events exist and the order is the classic
-  // (finish, client) order.
-  constexpr std::uint8_t kFinish = 5;
-  struct Event {
-    double time_s;
-    std::uint8_t kind;
-    std::uint32_t client;
-    bool operator>(const Event& o) const {
-      if (time_s != o.time_s) return time_s > o.time_s;
-      if (kind != o.kind) return kind > o.kind;
-      return client > o.client;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
+  // One list for finish and dynamics events. Handling an event never
+  // schedules another, so the list is built in full, sorted once into
+  // DynEvent's (time, kind, client) order and swept.
+  using Kind = DynEvent::Kind;
+  std::vector<DynEvent> events;
 
-  // Per-client compute span of the in-flight attempt (indexed by round-start
-  // id); inflight[j] clears on finish or cancellation. Joins appended
-  // mid-round get ids >= initial_n and are never in-flight this round.
+  // Per-client phase of the round's attempt (indexed by round-start id) and,
+  // with dynamics, its compute span. Joins appended mid-round get ids >=
+  // initial_n and never run this round.
+  enum Phase : std::uint8_t { kIdle, kInflight, kDelivered };
   const std::size_t initial_n = state_.size();
+  std::vector<std::uint8_t> phase(initial_n, kIdle);
   std::vector<double> compute_s_of(dyn ? initial_n : 0, 0.0);
-  std::vector<std::uint8_t> inflight(dyn ? initial_n : 0, 0);
   std::vector<double> edge_scratch;
 
-  // Only plan participants enter the queue; idle clients are never touched.
+  // Only plan participants get events; idle clients are never touched.
   double plan_span = 0.0;
-  for (std::size_t j = 0; j < initial_n; ++j) {
+  for (std::uint32_t j = 0; j < initial_n; ++j) {
     const std::size_t shards = shards_per_client[j];
     if (shards == 0) continue;
     ++result.participants;
@@ -123,104 +110,83 @@ FleetRoundResult FleetSimulator::run_round(
         state_.per_sample_s[j] *
             static_cast<double>(shards * config_.shard_size);
     const double finish_s = compute_s + state_.comm_s[j];
-    queue.push({finish_s, kFinish, static_cast<std::uint32_t>(j)});
+    events.push_back({finish_s, Kind::kFinish, j});
     plan_span = std::max(plan_span, finish_s);
+    phase[j] = kInflight;
     if (dyn) {
       compute_s_of[j] = compute_s;
-      inflight[j] = 1;
       const double off_s = dynamics->avail_off_within(j, finish_s);
-      if (off_s < finish_s) {
-        queue.push({off_s, static_cast<std::uint8_t>(DynEvent::Kind::kAvailOff),
-                    static_cast<std::uint32_t>(j)});
-      }
+      if (off_s < finish_s) events.push_back({off_s, Kind::kAvailOff, j});
       edge_scratch.clear();
       dynamics->charge_edges_within(j, finish_s, edge_scratch);
       for (double edge_s : edge_scratch) {
-        queue.push({edge_s, static_cast<std::uint8_t>(DynEvent::Kind::kChargeEdge),
-                    static_cast<std::uint32_t>(j)});
+        events.push_back({edge_s, Kind::kChargeEdge, j});
       }
     }
   }
-
   if (dyn) {
-    for (const DynEvent& ev : dynamics->churn_events(state_, round, plan_span)) {
-      queue.push({ev.time_s, static_cast<std::uint8_t>(ev.kind), ev.client});
-    }
+    const std::vector<DynEvent> churn = dynamics->churn_events(state_, round, plan_span);
+    events.insert(events.end(), churn.begin(), churn.end());
   }
+  std::sort(events.begin(), events.end());
 
-  // Cancel an in-flight attempt at `at_s`: the compute burned so far drains
-  // the battery, comm energy only if the upload already started. Death still
-  // applies — a cancelled attempt can kill the battery.
-  const auto cancel_inflight = [&](std::uint32_t j, double at_s) {
-    const double burned_compute_s = std::min(at_s, compute_s_of[j]);
-    const double drain_wh =
-        state_.train_power_w[j] * burned_compute_s / 3600.0 +
-        (at_s > compute_s_of[j] ? state_.comm_energy_wh[j] : 0.0);
+  // An attempt's drain burns the battery whether or not its report makes it
+  // back. Battery death is permanent, but it gates *future* schedulability
+  // only: a finished client's report is already delivered when the OS kills
+  // the app, so it still counts toward this round (and may still crash or
+  // miss the deadline). Only in-flight clients burn, so all are alive here.
+  const auto burn = [&](std::uint32_t j, double drain_wh) {
     result.energy_wh += drain_wh;
     state_.battery_soc[j] = std::max(
         0.0, state_.battery_soc[j] - drain_wh / state_.battery_capacity_wh[j]);
-    if (state_.battery_soc[j] <= config_.battery_floor_soc && state_.alive[j]) {
+    if (state_.battery_soc[j] <= config_.battery_floor_soc) {
       state_.alive[j] = 0;
       ++result.battery_deaths;
     }
-    inflight[j] = 0;
+    phase[j] = kIdle;
+  };
+  // Cancel an in-flight attempt at `at_s`: the compute burned so far drains
+  // the battery, comm energy only if the upload already started.
+  const auto cancel_inflight = [&](std::uint32_t j, double at_s) {
+    burn(j, state_.train_power_w[j] * std::min(at_s, compute_s_of[j]) / 3600.0 +
+                (at_s > compute_s_of[j] ? state_.comm_energy_wh[j] : 0.0));
     ++result.dropped_offline;
   };
 
-  while (!queue.empty()) {
-    const Event ev = queue.top();
-    queue.pop();
+  for (const DynEvent& ev : events) {
     ++result.events_processed;
     const std::uint32_t j = ev.client;
-
-    if (ev.kind != kFinish) {
-      switch (static_cast<DynEvent::Kind>(ev.kind)) {
-        case DynEvent::Kind::kAvailOff:
-          if (inflight[j]) cancel_inflight(j, ev.time_s);
-          break;
-        case DynEvent::Kind::kLeave:
-          dynamics->mark_departed(j);
-          ++result.leaves;
-          if (j < inflight.size() && inflight[j]) cancel_inflight(j, ev.time_s);
-          break;
-        case DynEvent::Kind::kChargeEdge:
-          ++result.charge_edges;
-          break;
-        case DynEvent::Kind::kNetSwitch:
-          dynamics->apply_net_switch(state_, j);
-          ++result.net_switches;
-          break;
-        case DynEvent::Kind::kJoin:
-          dynamics->append_join(state_);
-          ++result.joins;
-          break;
-      }
-      continue;
+    switch (ev.kind) {
+      case Kind::kAvailOff:
+        if (phase[j] == kInflight) cancel_inflight(j, ev.time_s);
+        continue;
+      case Kind::kLeave:
+        dynamics->mark_departed(j);
+        ++result.leaves;
+        if (j < initial_n && phase[j] == kInflight) cancel_inflight(j, ev.time_s);
+        continue;
+      case Kind::kChargeEdge:
+        ++result.charge_edges;
+        continue;
+      case Kind::kNetSwitch:
+        dynamics->apply_net_switch(state_, j);
+        ++result.net_switches;
+        continue;
+      case Kind::kJoin:
+        dynamics->append_join(state_);
+        ++result.joins;
+        continue;
+      case Kind::kFinish:
+        break;
     }
 
-    if (dyn && !inflight[j]) continue;  // cancelled before it finished
-    if (dyn) inflight[j] = 0;
-
-    // The attempt burns energy whether or not the report makes it back. A
-    // mid-round net-switch mutates comm_s, so with dynamics the compute span
-    // comes from the snapshot taken at admission (the exchange energy uses
-    // the current row: the switch carried the actual bytes).
+    if (phase[j] != kInflight) continue;  // cancelled before it finished
+    // A mid-round net-switch mutates comm_s, so with dynamics the compute
+    // span comes from the snapshot taken at admission (the exchange energy
+    // uses the current row: the switch carried the actual bytes).
     const double compute_s =
         dyn ? compute_s_of[j] : ev.time_s - state_.comm_s[j];
-    const double drain_wh = state_.train_power_w[j] * compute_s / 3600.0 +
-                            state_.comm_energy_wh[j];
-    result.energy_wh += drain_wh;
-    state_.battery_soc[j] = std::max(
-        0.0, state_.battery_soc[j] - drain_wh / state_.battery_capacity_wh[j]);
-
-    if (state_.battery_soc[j] <= config_.battery_floor_soc) {
-      // Battery death is permanent, but it gates *future* schedulability
-      // only: by the time the OS kills the app the finish event — report
-      // included — has already been delivered, so the client still counts
-      // toward this round (and may still crash or miss the deadline below).
-      state_.alive[j] = 0;
-      ++result.battery_deaths;
-    }
+    burn(j, state_.train_power_w[j] * compute_s / 3600.0 + state_.comm_energy_wh[j]);
     const double crash_draw =
         hash_to_unit(mix(mix(config_.seed ^ kDropoutTag, round), j));
     if (crash_draw < config_.dropout_prob) {
@@ -231,15 +197,17 @@ FleetRoundResult FleetSimulator::run_round(
       ++result.dropped_deadline;
       continue;
     }
-    result.contributors.push_back(j);
+    phase[j] = kDelivered;
+    ++result.completed;
     result.survivor_shards += shards_per_client[j];
     result.makespan_s = std::max(result.makespan_s, ev.time_s);
   }
-  result.completed = result.contributors.size();
 
-  // Events arrive in finish order; canonicalize the member list to client-id
-  // order so the tree partition is a pure function of the survivor set.
-  std::sort(result.contributors.begin(), result.contributors.end());
+  // Collected in client-id order, not finish order, so the tree partition is
+  // a pure function of the survivor set.
+  for (std::uint32_t j = 0; j < initial_n; ++j) {
+    if (phase[j] == kDelivered) result.contributors.push_back(j);
+  }
 
   const std::size_t dropped = result.dropped_crash + result.dropped_deadline +
                               result.dropped_offline;

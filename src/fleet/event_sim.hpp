@@ -1,12 +1,12 @@
 #pragma once
 // Discrete-event round simulator for fleet-scale FL.
 //
-// A round advances a min-heap of (finish time, client) events instead of
-// stepping every client: only clients holding shards enter the queue, so a
-// 1M-client fleet where the plan touches 100k clients costs O(participants
-// log participants) — idle clients cost nothing. Events pop in (finish,
-// client-id) order, which fixes the processing order independently of how
-// the plan was produced.
+// A round sorts a list of (finish time, client) events once and sweeps it
+// instead of stepping every client: only clients holding shards get an
+// event, so a 1M-client fleet where the plan touches 100k clients costs
+// O(participants log participants) — idle clients cost nothing. The sweep
+// runs in (finish, client-id) order, which fixes the processing order (and
+// the bits of the energy sum) independently of how the plan was produced.
 //
 // Faults mirror the testbed tier's kinds at fleet fidelity: a hashed
 // per-(seed, round, client) dropout draw (crash), a round deadline, and
@@ -28,15 +28,15 @@
 // to the flat left-to-right sum at every --parallel width
 // (tests/fleet/test_fleet_sim.cpp).
 //
-// Client dynamics (fleet/dynamics.hpp) ride the same event heap as
+// Client dynamics (fleet/dynamics.hpp) join the same sorted list as
 // first-class events ranked *before* finish events at equal times:
 // availability-edge and leave cancel in-flight work (partial energy burned,
 // tallied as `dropped_offline`, which joins the deadline-hold rule),
 // charge-edge flips are observational counts, net-switch swaps the client's
 // network-cost row for future rounds, and join appends a new client through
 // the generator's prefix-stable extend. With a null or disabled dynamics
-// layer the loop degenerates to exactly the heap above — results and trace
-// bytes are bit-identical to a build without dynamics.
+// layer the sweep is exactly the one above — results and trace bytes are
+// bit-identical to a build without dynamics (test_event_order.cpp).
 
 #include <cstddef>
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "sched/selection.hpp"
 
 namespace fedsched::sched {
 
@@ -66,44 +67,12 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
   result.assignment.shard_size = costs.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n);
-  std::size_t assigned = 0;
   for (std::size_t j = 0; j < n; ++j) {
     shards[j] = costs.max_shards_within(j, threshold);
-    assigned += shards[j];
   }
 
-  // Surplus trim, same rule as the exact path: repeatedly drop the shard with
-  // the largest marginal cost C_jk - C_j(k-1), lowest user id on ties. The
-  // exact algorithm rescans all users per trim; at fleet scale that scan is
-  // replaced by a max-heap keyed (marginal, -user), which pops in the same
-  // order because a user's marginal never grows as its load shrinks.
-  if (assigned > total_shards) {
-    struct TrimEntry {
-      double marginal;
-      std::size_t user;
-      bool operator<(const TrimEntry& o) const {
-        if (marginal != o.marginal) return marginal < o.marginal;
-        return user > o.user;  // max-heap: lowest user id wins ties
-      }
-    };
-    std::priority_queue<TrimEntry> heap;
-    auto marginal_of = [&](std::size_t j) {
-      return costs.cost(j, shards[j]) -
-             (shards[j] > 1 ? costs.cost(j, shards[j] - 1) : 0.0);
-    };
-    for (std::size_t j = 0; j < n; ++j) {
-      if (shards[j] > 0) heap.push({marginal_of(j), j});
-    }
-    while (assigned > total_shards) {
-      const TrimEntry top = heap.top();
-      heap.pop();
-      const std::size_t j = top.user;
-      --shards[j];
-      --assigned;
-      ++result.trimmed_shards;
-      if (shards[j] > 0) heap.push({marginal_of(j), j});
-    }
-  }
+  // Surplus trim, same rule (and code) as the exact path.
+  result.trimmed_shards = trim_surplus(costs, shards, total_shards);
 
   double actual = 0.0;
   for (std::size_t j = 0; j < n; ++j) {

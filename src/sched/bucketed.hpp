@@ -7,7 +7,8 @@
 //  - fed_lbap_bucketed binary-searches the B+1 bucket boundaries instead of
 //    the ns distinct matrix values; each feasibility probe is O(n) via
 //    LinearCosts' closed-form budgets, so planning runs in O(n log B) plus
-//    the surplus trim. The chosen threshold is the smallest feasible
+//    a surplus trim linear in the assigned shards (a weighted selection,
+//    sched/selection.hpp). The chosen threshold is the smallest feasible
 //    boundary, which is strictly less than c* + width, so the achieved
 //    makespan is within one bucket width of the exact optimum.
 //  - fed_minavg_bucketed runs the greedy shard loop over per-bucket min-heaps

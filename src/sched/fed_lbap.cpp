@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "sched/selection.hpp"
 
 namespace fedsched::sched {
 
@@ -77,29 +78,10 @@ LbapResult fed_lbap(const CostMatrix& matrix, std::size_t total_shards,
   result.assignment.shard_size = matrix.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(matrix.users());
-  std::size_t assigned = 0;
   for (std::size_t j = 0; j < matrix.users(); ++j) {
     shards[j] = matrix.max_shards_within(j, threshold);
-    assigned += shards[j];
   }
-  while (assigned > total_shards) {
-    std::size_t worst = matrix.users();
-    double worst_marginal = -1.0;
-    for (std::size_t j = 0; j < matrix.users(); ++j) {
-      if (shards[j] == 0) continue;
-      const double marginal =
-          matrix.cost(j, shards[j]) -
-          (shards[j] > 1 ? matrix.cost(j, shards[j] - 1) : 0.0);
-      if (marginal > worst_marginal) {
-        worst_marginal = marginal;
-        worst = j;
-      }
-    }
-    // assigned > total_shards >= 1 guarantees a non-empty user exists.
-    --shards[worst];
-    --assigned;
-    ++result.trimmed_shards;
-  }
+  result.trimmed_shards = trim_surplus(matrix, shards, total_shards);
 
   double actual = 0.0;
   for (std::size_t j = 0; j < matrix.users(); ++j) {

@@ -7,6 +7,26 @@
 
 namespace fedsched::sched {
 
+namespace {
+
+/// Largest k <= cap with base + per * k <= limit (0 if none). The division is
+/// only a first guess, nudged until the exact predicate holds under floating
+/// point, so budgets agree bitwise with a materialized row scan.
+std::size_t affine_within(double base, double per, std::size_t cap,
+                          double limit) noexcept {
+  const auto at = [&](std::size_t k) { return base + per * static_cast<double>(k); };
+  if (cap == 0 || at(1) > limit) return 0;
+  if (per <= 0.0) return cap;  // flat row: one shard within => all within
+  const double guess =
+      std::clamp(std::floor((limit - base) / per), 1.0, static_cast<double>(cap));
+  std::size_t k = static_cast<std::size_t>(guess);
+  while (k > 1 && at(k) > limit) --k;
+  while (k < cap && at(k + 1) <= limit) ++k;
+  return k;
+}
+
+}  // namespace
+
 LinearCosts::LinearCosts(std::vector<double> base_s, std::vector<double> per_shard_s,
                          std::vector<std::uint32_t> capacity_shards,
                          std::size_t shard_size)
@@ -32,18 +52,7 @@ LinearCosts::LinearCosts(std::vector<double> base_s, std::vector<double> per_sha
 
 std::size_t LinearCosts::max_shards_within(std::size_t user,
                                            double threshold) const noexcept {
-  const std::size_t cap = capacity_[user];
-  if (cap == 0 || cost(user, 1) > threshold) return 0;
-  const double per = per_shard_s_[user];
-  if (per <= 0.0) return cap;  // flat row: one shard within => all within
-  double guess = std::floor((threshold - base_s_[user]) / per);
-  guess = std::clamp(guess, 1.0, static_cast<double>(cap));
-  std::size_t k = static_cast<std::size_t>(guess);
-  // The division can land one off in either direction; restore the exact
-  // predicate so budgets agree bitwise with a materialized row scan.
-  while (k > 1 && cost(user, k) > threshold) --k;
-  while (k < cap && cost(user, k + 1) <= threshold) ++k;
-  return k;
+  return affine_within(base_s_[user], per_shard_s_[user], capacity_[user], threshold);
 }
 
 std::size_t LinearCosts::total_budget(double threshold, std::size_t target) const {
@@ -76,19 +85,8 @@ void LinearCosts::set_energy(std::vector<double> base_wh,
 }
 
 std::size_t LinearCosts::max_shards_within_battery(std::size_t user) const noexcept {
-  const std::size_t cap = capacity_[user];
-  const double budget = budget_wh_[user];
-  if (cap == 0 || energy(user, 1) > budget) return 0;
-  const double per = per_shard_wh_[user];
-  if (per <= 0.0) return cap;  // flat row: one shard within => all within
-  double guess = std::floor((budget - base_wh_[user]) / per);
-  guess = std::clamp(guess, 1.0, static_cast<double>(cap));
-  std::size_t k = static_cast<std::size_t>(guess);
-  // Same exact-predicate nudge as max_shards_within: the division is only a
-  // first guess under floating point.
-  while (k > 1 && energy(user, k) > budget) --k;
-  while (k < cap && energy(user, k + 1) <= budget) ++k;
-  return k;
+  return affine_within(base_wh_[user], per_shard_wh_[user], capacity_[user],
+                       budget_wh_[user]);
 }
 
 double LinearCosts::max_full_cost(std::size_t shard_cap) const noexcept {

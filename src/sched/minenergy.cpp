@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "common/json.hpp"
 #include "sched/bucketed.hpp"
+#include "sched/selection.hpp"
 
 namespace fedsched::sched {
-
-namespace {
-
-struct Bid {
-  double marginal_wh;
-  std::uint32_t user;
-  bool operator>(const Bid& o) const {
-    if (marginal_wh != o.marginal_wh) return marginal_wh > o.marginal_wh;
-    return user > o.user;  // min-heap: lowest client id wins ties
-  }
-};
-
-using BidHeap = std::priority_queue<Bid, std::vector<Bid>, std::greater<Bid>>;
-
-}  // namespace
 
 MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards,
                               const MinEnergyConfig& config,
@@ -64,50 +49,38 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n, 0);
 
-  // Per-client cap under the current constraint set, and the greedy loop
-  // shared by the capped pass and the relaxed pass. A busy client's marginal
-  // is its constant per-shard slope, so one heap entry per client is live at
-  // a time and each pop is the global argmin.
-  std::vector<std::size_t> cap(n);
-  const auto fill_caps = [&](bool timed) {
+  // The greedy shared by the capped pass and the relaxed pass, each client
+  // capped under the pass's constraint set. A client's chain of marginal
+  // bids is its opening bid energy(j, 1) (or its slope once busy) followed
+  // by its constant per-shard slope, which is no larger (base_wh >= 0). So
+  // once the greedy takes a client's first unit it takes the rest of the
+  // chain before any costlier bid: every client is one run keyed by its
+  // first bid, and the `want` cheapest units are a weighted selection.
+  const auto greedy = [&](std::size_t want, bool timed) {
+    std::vector<UnitRun> runs;
     for (std::size_t j = 0; j < n; ++j) {
-      cap[j] = timed && std::isfinite(cap_s)
-                   ? std::min(hard_cap[j], costs.max_shards_within(j, cap_s))
-                   : hard_cap[j];
+      const std::size_t cap =
+          timed && std::isfinite(cap_s)
+              ? std::min(hard_cap[j], costs.max_shards_within(j, cap_s))
+              : hard_cap[j];
+      if (shards[j] >= cap) continue;
+      const double bid = shards[j] == 0 ? costs.energy(j, 1)
+                                        : costs.per_shard_energy_wh(j);
+      runs.push_back({bid, static_cast<std::uint32_t>(j),
+                      static_cast<std::uint32_t>(cap - shards[j])});
     }
-  };
-  const auto greedy = [&](std::size_t want) {
-    BidHeap heap;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (shards[j] >= cap[j]) continue;
-      const double marginal = shards[j] == 0
-                                  ? costs.energy(j, 1)
-                                  : costs.per_shard_energy_wh(j);
-      heap.push({marginal, static_cast<std::uint32_t>(j)});
-    }
-    std::size_t placed = 0;
-    while (placed < want && !heap.empty()) {
-      const Bid top = heap.top();
-      heap.pop();
-      const std::size_t j = top.user;
-      ++shards[j];
-      ++placed;
-      ++result.steps;
-      if (shards[j] < cap[j]) {
-        heap.push({costs.per_shard_energy_wh(j), static_cast<std::uint32_t>(j)});
-      }
-    }
+    const std::size_t placed = select_units(runs, want);
+    for (const UnitRun& run : runs) shards[run.user] += run.count;
+    result.steps += placed;
     return placed;
   };
 
-  fill_caps(true);
-  std::size_t placed = greedy(total_shards);
+  const std::size_t placed = greedy(total_shards, true);
   if (placed < total_shards) {
     // Time caps alone cannot host the dataset: drop them and spill the
     // remainder onto battery-feasible clients (degrade, don't abort).
-    fill_caps(false);
     result.relaxed_shards = total_shards - placed;
-    placed += greedy(total_shards - placed);
+    greedy(result.relaxed_shards, false);
   }
 
   for (std::size_t j = 0; j < n; ++j) {

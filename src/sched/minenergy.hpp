@@ -23,7 +23,9 @@
 // reported as relaxed_shards. Battery and capacity caps are never relaxed;
 // infeasibility against those throws, mirroring the other schedulers.
 //
-// Complexity: O(n log B) for the probe plus O(D log n) greedy steps.
+// Complexity: O(n log B) for the probe plus expected O(n) per greedy pass:
+// each client's bids form one run, and a pass is one weighted selection
+// over the runs (sched/selection.hpp) — no per-shard steps.
 
 #include <cstddef>
 

@@ -9,6 +9,13 @@
 #include "core/fedsched.hpp"
 
 namespace fedsched {
+
+namespace device {
+// gtest prints a pointer parameter as its address, which ASLR changes on
+// every run; print the model's name so the listed test names are stable.
+void PrintTo(const ModelDesc* model, std::ostream* os) { *os << model->name; }
+}  // namespace device
+
 namespace {
 
 // --- Observation 3: communication is a small share of the epoch. ----------
