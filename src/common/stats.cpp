@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace fedsched::common {
 
@@ -42,6 +43,41 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
+
+void ExactSum::add(double x) {
+  std::size_t kept = 0;
+  for (double y : partials_) {
+    if (std::fabs(x) < std::fabs(y)) std::swap(x, y);
+    const double hi = x + y;
+    const double lo = y - (hi - x);
+    if (lo != 0.0) partials_[kept++] = lo;
+    x = hi;
+  }
+  partials_.resize(kept);
+  if (x != 0.0) partials_.push_back(x);
+}
+
+void ExactSum::merge(const ExactSum& other) {
+  for (const double p : other.partials_) add(p);
+}
+
+double ExactSum::value() const noexcept {
+  std::size_t n = partials_.size();
+  double hi = n > 0 ? partials_[--n] : 0.0;
+  double lo = 0.0;
+  while (n > 0 && lo == 0.0) {
+    const double x = hi;
+    hi = x + partials_[--n];
+    lo = partials_[n] - (hi - x);
+  }
+  // Half-even fix-up: when lo is exactly half an ulp of hi and the partials
+  // left below it lie on lo's side, the exact sum rounds away from hi.
+  if (n > 0 && lo != 0.0 && (lo < 0.0) == (partials_[n - 1] < 0.0)) {
+    const double x = hi + lo * 2.0;
+    if (lo * 2.0 == x - hi) hi = x;
+  }
+  return hi;
+}
 
 double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;

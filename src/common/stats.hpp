@@ -31,6 +31,22 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Exactly rounded sum (Shewchuk's non-overlapping expansions, as in
+/// Python's math.fsum): the running sum is held exactly as partials of
+/// increasing magnitude and rounded once, to nearest-even, by value(). The
+/// result does not depend on the order of add() and merge() calls, so
+/// chunked passes sum in parallel and give one set of bits at any pool size.
+/// Inputs must be finite.
+class ExactSum {
+ public:
+  void add(double x);
+  void merge(const ExactSum& other);
+  [[nodiscard]] double value() const noexcept;
+
+ private:
+  std::vector<double> partials_;
+};
+
 [[nodiscard]] double mean(std::span<const double> xs) noexcept;
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 [[nodiscard]] double median(std::vector<double> xs);

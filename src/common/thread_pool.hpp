@@ -24,6 +24,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,53 @@ class ThreadPool {
 
 /// Process-wide pool for library internals (lazily constructed, never torn
 /// down before exit). Prefer passing an explicit pool where ownership matters.
+/// Its users: Conv2d's sample chunks, the blocked GEMM's column panels, and
+/// the fleet tier's chunked O(n) passes below (generation, cost views, the
+/// sched/ planners' passes and selections, and the client-major round).
 [[nodiscard]] ThreadPool& global_pool();
+
+/// Items per chunk of the fleet tier's O(n) passes. Chunk boundaries depend
+/// only on the item count, so reductions over per-chunk partials in chunk
+/// order never depend on the pool. Up to 2^17 items (the coordinator's
+/// 100k-client fleets) are one chunk, run inline on the caller.
+inline constexpr std::size_t kChunkGrain = std::size_t{1} << 17;
+
+/// Run fn(lo, hi) over the kChunkGrain chunks of [0, n) on global_pool();
+/// returns the results in chunk order, for a fixed-order reduction. A single
+/// chunk runs inline on the caller.
+template <class Fn>
+auto map_chunks(std::size_t n, Fn&& fn) {
+  using R = std::invoke_result_t<Fn&, std::size_t, std::size_t>;
+  static_assert(!std::is_same_v<R, bool>, "vector<bool> slots are not thread-safe");
+  std::vector<R> out(ThreadPool::grain_chunks(n, kChunkGrain));
+  global_pool().parallel_for_chunks(
+      0, n, out.size(),
+      [&](std::size_t c, std::size_t lo, std::size_t hi) { out[c] = fn(lo, hi); });
+  return out;
+}
+
+/// map_chunks for passes that only write per-item outputs.
+template <class Fn>
+void for_chunks(std::size_t n, Fn&& fn) {
+  map_chunks(n, [&fn](std::size_t lo, std::size_t hi) {
+    fn(lo, hi);
+    return 0;
+  });
+}
+
+/// Fold fn(acc, i) over each chunk of [0, n) from `init`, then fold the
+/// chunk accumulators in chunk order with combine(total, part).
+template <class T, class Fn, class Combine>
+T reduce_chunks(std::size_t n, T init, Fn&& fn, Combine&& combine) {
+  T total = init;
+  for (T& part : map_chunks(n, [&](std::size_t lo, std::size_t hi) {
+         T acc = init;
+         for (std::size_t i = lo; i < hi; ++i) fn(acc, i);
+         return acc;
+       })) {
+    total = combine(std::move(total), std::move(part));
+  }
+  return total;
+}
 
 }  // namespace fedsched::common

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+
+#include "common/thread_pool.hpp"
 
 namespace fedsched::fleet {
 
@@ -124,14 +127,16 @@ void ClientDynamics::ensure_size(std::size_t n) {
   avail_phase_.resize(n);
   charge_phase_.resize(n);
   departed_.resize(n, 0);
-  for (std::size_t j = start; j < n; ++j) {
-    // Per-client stream, pure function of (seed, j). Draw order is part of
-    // the format: [0] availability phase, [1] charge phase — both always
-    // drawn so scenario toggles never shift each other's stream.
-    common::Rng rng = root_.fork(j);
-    avail_phase_[j] = rng.uniform(0.0, config_.day_period_s);
-    charge_phase_[j] = rng.uniform(0.0, config_.charge_period_s);
-  }
+  common::for_chunks(n - start, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = start + lo; j < start + hi; ++j) {
+      // Per-client stream, pure function of (seed, j). Draw order is part of
+      // the format: [0] availability phase, [1] charge phase — both always
+      // drawn so scenario toggles never shift each other's stream.
+      common::Rng rng = root_.fork(j);
+      avail_phase_[j] = rng.uniform(0.0, config_.day_period_s);
+      charge_phase_[j] = rng.uniform(0.0, config_.charge_period_s);
+    }
+  });
 }
 
 bool ClientDynamics::available(std::size_t j, double t) const {
@@ -179,52 +184,28 @@ void ClientDynamics::charge_edges_within(std::size_t j, double limit,
   }
 }
 
-std::vector<DynEvent> ClientDynamics::churn_events(const FleetState& state,
-                                                   std::size_t round,
-                                                   double span) const {
-  std::vector<DynEvent> events;
+void ClientDynamics::churn_events(std::size_t round, std::size_t j, double span,
+                                  std::vector<DynEvent>& out) const {
   if (span <= 0.0) span = 1.0;  // degenerate round: pin draws at time 0..span
-
-  std::size_t alive_count = 0;
-  const std::size_t n = state.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (state.alive[j] == 0 || departed(j)) continue;
-    ++alive_count;
-    if (config_.leave_prob_per_round > 0.0) {
-      const std::uint64_t h = mix(mix(config_.seed ^ kLeaveTag, round), j);
-      if (hash_to_unit(h) < config_.leave_prob_per_round) {
-        const double when =
-            span * hash_to_unit(mix(h, kWhenSalt));
-        events.push_back({when, DynEvent::Kind::kLeave,
-                          static_cast<std::uint32_t>(j)});
-      }
+  const auto draw = [&](double prob, std::uint64_t tag, DynEvent::Kind kind) {
+    if (prob <= 0.0) return;
+    const std::uint64_t h = mix(mix(config_.seed ^ tag, round), j);
+    if (hash_to_unit(h) < prob) {
+      out.push_back({span * hash_to_unit(mix(h, kWhenSalt)), kind,
+                     static_cast<std::uint32_t>(j)});
     }
-    if (config_.net_switch_prob_per_round > 0.0) {
-      const std::uint64_t h = mix(mix(config_.seed ^ kNetTag, round), j);
-      if (hash_to_unit(h) < config_.net_switch_prob_per_round) {
-        const double when = span * hash_to_unit(mix(h, kWhenSalt));
-        events.push_back({when, DynEvent::Kind::kNetSwitch,
-                          static_cast<std::uint32_t>(j)});
-      }
-    }
-  }
+  };
+  draw(config_.leave_prob_per_round, kLeaveTag, DynEvent::Kind::kLeave);
+  draw(config_.net_switch_prob_per_round, kNetTag, DynEvent::Kind::kNetSwitch);
+}
 
-  if (config_.join_fraction_per_round > 0.0) {
-    const double expected =
-        config_.join_fraction_per_round * static_cast<double>(alive_count);
-    std::size_t count = static_cast<std::size_t>(std::floor(expected));
-    const double frac = expected - std::floor(expected);
-    if (hash_to_unit(mix(config_.seed ^ kJoinTag, round)) < frac) ++count;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double when =
-          span * hash_to_unit(mix(mix(config_.seed ^ kJoinTag, round), i + 1));
-      events.push_back({when, DynEvent::Kind::kJoin,
-                        static_cast<std::uint32_t>(i)});
-    }
-  }
-
-  std::sort(events.begin(), events.end());
-  return events;
+std::size_t ClientDynamics::join_count(std::size_t round, std::size_t live) const {
+  if (!(config_.join_fraction_per_round > 0.0)) return 0;
+  const double expected = config_.join_fraction_per_round * static_cast<double>(live);
+  std::size_t count = static_cast<std::size_t>(std::floor(expected));
+  const double frac = expected - std::floor(expected);
+  if (hash_to_unit(mix(config_.seed ^ kJoinTag, round)) < frac) ++count;
+  return count;
 }
 
 void ClientDynamics::mark_departed(std::size_t j) {
@@ -241,11 +222,12 @@ std::uint8_t ClientDynamics::apply_net_switch(FleetState& state,
   return next;
 }
 
-std::uint32_t ClientDynamics::append_join(FleetState& state) {
-  const std::size_t id = state.size();
-  generator_->extend(state, id + 1);
-  ensure_size(id + 1);
-  return static_cast<std::uint32_t>(id);
+std::uint32_t ClientDynamics::append_joins(FleetState& state, std::size_t count) {
+  const std::size_t first = state.size();
+  if (count == 0) return static_cast<std::uint32_t>(first);  // generator_ may be null
+  generator_->extend(state, first + count);
+  ensure_size(first + count);
+  return static_cast<std::uint32_t>(first);
 }
 
 std::size_t ClientDynamics::finish_round(FleetState& state, double span_s) {
@@ -255,25 +237,27 @@ std::size_t ClientDynamics::finish_round(FleetState& state, double span_s) {
   if (config_.charging && config_.charge_power_w > 0.0 && t1 > t0) {
     ensure_size(state.size());
     const double window = config_.charge_fraction * config_.charge_period_s;
-    for (std::size_t j = 0; j < state.size(); ++j) {
-      if (departed(j)) continue;
-      const double plugged_s = on_duration(t0, t1, charge_phase_[j],
-                                           config_.charge_period_s, window);
-      if (plugged_s <= 0.0) continue;
-      state.battery_soc[j] =
-          std::min(1.0, state.battery_soc[j] + config_.charge_power_w *
-                                                   plugged_s / 3600.0 /
-                                                   state.battery_capacity_wh[j]);
-      if (state.alive[j] == 0 &&
-          state.battery_soc[j] >=
-              config_.battery_floor_soc + config_.revive_margin_soc) {
-        // A dead client that recharged above the floor re-enters the fleet;
-        // the next replan recomputes its cost row from scratch (no stale
-        // zero-capacity row survives — the mask is never cached).
-        state.alive[j] = 1;
-        ++revived;
-      }
-    }
+    revived = common::reduce_chunks(
+        state.size(), std::size_t{0},
+        [&](std::size_t& count, std::size_t j) {
+          if (departed(j)) return;
+          const double plugged_s = on_duration(t0, t1, charge_phase_[j],
+                                               config_.charge_period_s, window);
+          if (plugged_s <= 0.0) return;
+          state.battery_soc[j] = std::min(
+              1.0, state.battery_soc[j] + config_.charge_power_w * plugged_s /
+                                              3600.0 / state.battery_capacity_wh[j]);
+          if (state.alive[j] == 0 &&
+              state.battery_soc[j] >=
+                  config_.battery_floor_soc + config_.revive_margin_soc) {
+            // A dead client that recharged above the floor re-enters the
+            // fleet; the next replan recomputes its cost row from scratch (no
+            // stale zero-capacity row survives — the mask is never cached).
+            state.alive[j] = 1;
+            ++count;
+          }
+        },
+        std::plus<>());
   }
   now_s_ = t1;
   return revived;
@@ -293,37 +277,6 @@ void ClientDynamics::restore(const DynamicsSnapshot& snap) {
   departed_ = snap.departed;
   avail_phase_ = snap.avail_phase;
   charge_phase_ = snap.charge_phase;
-}
-
-sched::LinearCosts dynamic_linear_costs(const FleetState& state,
-                                        std::size_t shard_size,
-                                        ClientDynamics& dynamics,
-                                        double battery_floor_soc) {
-  sched::LinearCosts costs = linear_costs(state, shard_size, battery_floor_soc);
-  if (!dynamics.enabled()) return costs;
-  dynamics.ensure_size(state.size());
-  const std::size_t n = state.size();
-  std::vector<double> base(n);
-  std::vector<double> per_shard(n);
-  std::vector<std::uint32_t> capacity(n);
-  std::vector<double> base_wh(n);
-  std::vector<double> per_shard_wh(n);
-  std::vector<double> budget_wh(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    base[j] = costs.base_seconds(j);
-    per_shard[j] = costs.per_shard_seconds(j);
-    capacity[j] = dynamics.schedulable(state, j)
-                      ? static_cast<std::uint32_t>(costs.capacity(j))
-                      : 0;
-    base_wh[j] = costs.base_energy_wh(j);
-    per_shard_wh[j] = costs.per_shard_energy_wh(j);
-    budget_wh[j] = costs.battery_budget_wh(j);
-  }
-  sched::LinearCosts masked(std::move(base), std::move(per_shard),
-                            std::move(capacity), shard_size);
-  masked.set_energy(std::move(base_wh), std::move(per_shard_wh),
-                    std::move(budget_wh));
-  return masked;
 }
 
 }  // namespace fedsched::fleet

@@ -15,9 +15,9 @@
 //    phase uniform in [0, charge_period_s). Both are drawn whether or not the
 //    feature is enabled, so toggling one scenario knob never shifts another
 //    knob's stream, and a client keeps its phases when the fleet grows.
-//  - Per-round draws (leave, join, net-switch) are stateless splitmix64
-//    hashes of (seed ^ domain-tag, round, client), mirroring the crash draws
-//    of fleet/event_sim.cpp: no draw ever depends on processing order.
+//  - Per-round draws (leave, net-switch, join count) are stateless splitmix64
+//    hashes of (seed ^ domain-tag, round[, client]), mirroring the crash
+//    draws of fleet/event_sim.cpp: no draw depends on processing order.
 //  - Availability and charging are *closed-form* cycles, not integrated
 //    state: client j is available at absolute time t iff
 //    fmod(t + phase_j, period) < fraction * period (a half-open window), and
@@ -93,22 +93,21 @@ struct DynamicsConfig {
 /// The preset names, in matrix order.
 [[nodiscard]] const std::vector<std::string>& scenario_names();
 
-/// One event inside a round, at a time relative to the round start. Rounds
-/// process events in (time, kind, client) order: at equal times every
-/// dynamics kind ranks before a report's arrival (kFinish), as availability
-/// windows are half-open — a closure at the finish instant cancels it.
+/// One client's event inside a round, at a time relative to the round
+/// start. A round runs each client's events in (time, kind) order: at equal
+/// times every dynamics kind ranks before the report's arrival (kFinish), so
+/// a leave drawn at the finish instant cancels it. Joins are not per-client
+/// events; the round applies them by count (join_count).
 struct DynEvent {
   enum class Kind : std::uint8_t {
     kAvailOff = 0,  // an in-flight client's availability window closed
     kLeave = 1,     // churn departure (permanent)
     kChargeEdge = 2,  // plugged state flipped (observational)
     kNetSwitch = 3,   // WiFi<->LTE transition
-    kJoin = 4,        // churn arrival (new client id appended)
-    kFinish = 5,      // an in-flight client's report arrives (simulator only)
+    kFinish = 4,      // an in-flight client's report arrives (simulator only)
   };
   double time_s = 0.0;
   Kind kind = Kind::kAvailOff;
-  /// Client id; for kJoin, the arrival sequence number within the round.
   std::uint32_t client = 0;
 
   friend bool operator<(const DynEvent& a, const DynEvent& b) {
@@ -164,19 +163,21 @@ class ClientDynamics {
   void charge_edges_within(std::size_t j, double limit,
                            std::vector<double>& out) const;
 
-  /// All churn / network events for `round` spread over [0, span): leave and
-  /// net-switch draws for every alive, non-departed client, plus join
-  /// arrivals sized from the alive count. Sorted by (time, kind, client).
-  [[nodiscard]] std::vector<DynEvent> churn_events(const FleetState& state,
-                                                   std::size_t round,
-                                                   double span) const;
+  /// Append client j's leave and net-switch draws for `round` to `out`, at
+  /// times in [0, span). Callers draw for alive, non-departed clients only.
+  void churn_events(std::size_t round, std::size_t j, double span,
+                    std::vector<DynEvent>& out) const;
+  /// Churn arrivals for `round`, sized from `live`, the number of alive,
+  /// non-departed clients at round start.
+  [[nodiscard]] std::size_t join_count(std::size_t round, std::size_t live) const;
 
-  /// Effect handlers, called by the simulator as events pop.
+  /// Effect handlers; the first two touch client j's entries only.
   void mark_departed(std::size_t j);
   /// Swap client j's network-cost row (WiFi<->LTE); returns the new network.
   std::uint8_t apply_net_switch(FleetState& state, std::size_t j) const;
-  /// Append one joined client via FleetGenerator::extend; returns its id.
-  std::uint32_t append_join(FleetState& state);
+  /// Append `count` joined clients via FleetGenerator::extend; returns the
+  /// first new id.
+  std::uint32_t append_joins(FleetState& state, std::size_t count);
 
   /// Close the round: integrate charging over [now_s, now_s + span +
   /// round_gap_s] for every client, revive charged-up dead clients, advance

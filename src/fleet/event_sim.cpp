@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/stats.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "fl/aggregate.hpp"
@@ -72,141 +73,184 @@ FleetRoundResult FleetSimulator::run_round(
     throw std::invalid_argument("FleetSimulator::run_round: plan size mismatch");
   }
   const bool dyn = dynamics != nullptr && dynamics->enabled();
-  if (dyn) dynamics->ensure_size(state_.size());
+  const std::size_t n = state_.size();
+  if (dyn) dynamics->ensure_size(n);
+
+  // A plan entry starts iff its client is alive and, with dynamics,
+  // schedulable at round start. A stale plan may still target a dead (or
+  // offline / departed / unplugged) client; it never starts and burns
+  // nothing — a planner no-op, not a round fault.
+  const auto admitted = [&](std::size_t j) {
+    return state_.alive[j] != 0 && (!dyn || dynamics->schedulable(state_, j));
+  };
+  const auto compute_seconds = [&](std::size_t j) {
+    return state_.base_s[j] +
+           state_.per_sample_s[j] *
+               static_cast<double>(shards_per_client[j] * config_.shard_size);
+  };
+
+  // Churn draws spread over the plan's span, so with dynamics one pass reads
+  // it before any client's events run.
+  const double span = !dyn ? 0.0 : common::reduce_chunks(
+      n, 0.0,
+      [&](double& s, std::size_t j) {
+        if (shards_per_client[j] > 0 && admitted(j)) {
+          s = std::max(s, compute_seconds(j) + state_.comm_s[j]);
+        }
+      },
+      [](double a, double b) { return std::max(a, b); });
+
+  // The client-major pass. Handling an event touches only its own client's
+  // state, so chunks of clients run in parallel, and each client's events
+  // run in (time, kind) order — the global (time, kind, client) order
+  // restricted to that client. Counts and maxima merge exactly, and the
+  // energy is an exact sum rounded once, so no bit depends on the chunking.
+  using Kind = DynEvent::Kind;
+  struct Part {
+    FleetRoundResult tally;
+    common::ExactSum energy_wh;
+    std::size_t live = 0;  // alive, non-departed clients at round start
+  };
+  std::vector<Part> parts = common::map_chunks(n, [&](std::size_t lo, std::size_t hi) {
+    Part part;
+    FleetRoundResult& t = part.tally;
+    std::vector<DynEvent> events;
+    std::vector<double> edges;
+    for (std::size_t j = lo; j < hi; ++j) {
+      const auto id = static_cast<std::uint32_t>(j);
+      events.clear();
+      bool inflight = false;
+      double compute_s = 0.0;
+      if (shards_per_client[j] > 0) {
+        ++t.participants;
+        if (admitted(j)) {
+          inflight = true;
+          compute_s = compute_seconds(j);
+          const double finish_s = compute_s + state_.comm_s[j];
+          events.push_back({finish_s, Kind::kFinish, id});
+          if (dyn) {
+            const double off_s = dynamics->avail_off_within(j, finish_s);
+            if (off_s < finish_s) events.push_back({off_s, Kind::kAvailOff, id});
+            edges.clear();
+            dynamics->charge_edges_within(j, finish_s, edges);
+            for (const double edge_s : edges) {
+              events.push_back({edge_s, Kind::kChargeEdge, id});
+            }
+          }
+        } else {
+          ++t.dropped_stale;
+        }
+      }
+      if (dyn && state_.alive[j] != 0 && !dynamics->departed(j)) {
+        ++part.live;
+        dynamics->churn_events(round, j, span, events);
+      }
+      if (events.empty()) continue;
+      std::sort(events.begin(), events.end());
+
+      // An attempt's drain burns the battery whether or not its report makes
+      // it back. Battery death is permanent, but it gates *future*
+      // schedulability only: a finished client's report is already delivered
+      // when the OS kills the app, so it still counts toward this round (and
+      // may still crash or miss the deadline).
+      const auto burn = [&](double drain_wh) {
+        part.energy_wh.add(drain_wh);
+        state_.battery_soc[j] = std::max(
+            0.0, state_.battery_soc[j] - drain_wh / state_.battery_capacity_wh[j]);
+        if (state_.battery_soc[j] <= config_.battery_floor_soc) {
+          state_.alive[j] = 0;
+          ++t.battery_deaths;
+        }
+        inflight = false;
+      };
+      // Cancel the in-flight attempt at `at_s`: the compute burned so far
+      // drains the battery, comm energy only if the upload already started.
+      const auto cancel_inflight = [&](double at_s) {
+        burn(state_.train_power_w[j] * std::min(at_s, compute_s) / 3600.0 +
+             (at_s > compute_s ? state_.comm_energy_wh[j] : 0.0));
+        ++t.dropped_offline;
+      };
+
+      for (const DynEvent& ev : events) {
+        ++t.events_processed;
+        switch (ev.kind) {
+          case Kind::kAvailOff:
+            if (inflight) cancel_inflight(ev.time_s);
+            continue;
+          case Kind::kLeave:
+            dynamics->mark_departed(j);
+            ++t.leaves;
+            if (inflight) cancel_inflight(ev.time_s);
+            continue;
+          case Kind::kChargeEdge:
+            ++t.charge_edges;
+            continue;
+          case Kind::kNetSwitch:
+            dynamics->apply_net_switch(state_, j);
+            ++t.net_switches;
+            continue;
+          case Kind::kFinish:
+            break;
+        }
+
+        if (!inflight) continue;  // cancelled before it finished
+        // A mid-round net-switch mutates comm_s, so with dynamics the compute
+        // span is the one taken at admission (the exchange energy uses the
+        // current row: the switch carried the actual bytes). Without
+        // dynamics it is finish - comm_s, whose bits the goldens pin.
+        burn(state_.train_power_w[j] * (dyn ? compute_s : ev.time_s - state_.comm_s[j]) /
+                 3600.0 +
+             state_.comm_energy_wh[j]);
+        const double crash_draw =
+            hash_to_unit(mix(mix(config_.seed ^ kDropoutTag, round), j));
+        if (crash_draw < config_.dropout_prob) {
+          ++t.dropped_crash;
+          continue;
+        }
+        if (ev.time_s > config_.deadline_s) {
+          ++t.dropped_deadline;
+          continue;
+        }
+        ++t.completed;
+        t.survivor_shards += shards_per_client[j];
+        t.makespan_s = std::max(t.makespan_s, ev.time_s);
+        // Chunks are ascending id ranges, so the merged list is in client-id
+        // order, not finish order: the tree partition is a pure function of
+        // the survivor set.
+        t.contributors.push_back(id);
+      }
+    }
+    return part;
+  });
 
   FleetRoundResult result;
   result.round = round;
-
-  // One list for finish and dynamics events. Handling an event never
-  // schedules another, so the list is built in full, sorted once into
-  // DynEvent's (time, kind, client) order and swept.
-  using Kind = DynEvent::Kind;
-  std::vector<DynEvent> events;
-
-  // Per-client phase of the round's attempt (indexed by round-start id) and,
-  // with dynamics, its compute span. Joins appended mid-round get ids >=
-  // initial_n and never run this round.
-  enum Phase : std::uint8_t { kIdle, kInflight, kDelivered };
-  const std::size_t initial_n = state_.size();
-  std::vector<std::uint8_t> phase(initial_n, kIdle);
-  std::vector<double> compute_s_of(dyn ? initial_n : 0, 0.0);
-  std::vector<double> edge_scratch;
-
-  // Only plan participants get events; idle clients are never touched.
-  double plan_span = 0.0;
-  for (std::uint32_t j = 0; j < initial_n; ++j) {
-    const std::size_t shards = shards_per_client[j];
-    if (shards == 0) continue;
-    ++result.participants;
-    if (!state_.alive[j] || (dyn && !dynamics->schedulable(state_, j))) {
-      // A stale plan may still target a dead (or, with dynamics, offline /
-      // departed / unplugged) client; it never starts and burns nothing — a
-      // planner no-op, not a round fault.
-      ++result.dropped_stale;
-      continue;
+  common::ExactSum energy_wh;
+  std::size_t live = 0;
+  for (const Part& part : parts) {
+    const FleetRoundResult& t = part.tally;
+    for (const auto count :
+         {&FleetRoundResult::participants, &FleetRoundResult::completed,
+          &FleetRoundResult::dropped_crash, &FleetRoundResult::dropped_deadline,
+          &FleetRoundResult::dropped_stale, &FleetRoundResult::dropped_offline,
+          &FleetRoundResult::leaves, &FleetRoundResult::charge_edges,
+          &FleetRoundResult::net_switches, &FleetRoundResult::battery_deaths,
+          &FleetRoundResult::events_processed, &FleetRoundResult::survivor_shards}) {
+      result.*count += t.*count;
     }
-    const double compute_s =
-        state_.base_s[j] +
-        state_.per_sample_s[j] *
-            static_cast<double>(shards * config_.shard_size);
-    const double finish_s = compute_s + state_.comm_s[j];
-    events.push_back({finish_s, Kind::kFinish, j});
-    plan_span = std::max(plan_span, finish_s);
-    phase[j] = kInflight;
-    if (dyn) {
-      compute_s_of[j] = compute_s;
-      const double off_s = dynamics->avail_off_within(j, finish_s);
-      if (off_s < finish_s) events.push_back({off_s, Kind::kAvailOff, j});
-      edge_scratch.clear();
-      dynamics->charge_edges_within(j, finish_s, edge_scratch);
-      for (double edge_s : edge_scratch) {
-        events.push_back({edge_s, Kind::kChargeEdge, j});
-      }
-    }
+    result.makespan_s = std::max(result.makespan_s, t.makespan_s);
+    result.contributors.insert(result.contributors.end(), t.contributors.begin(),
+                               t.contributors.end());
+    energy_wh.merge(part.energy_wh);
+    live += part.live;
   }
+  result.energy_wh = energy_wh.value();
   if (dyn) {
-    const std::vector<DynEvent> churn = dynamics->churn_events(state_, round, plan_span);
-    events.insert(events.end(), churn.begin(), churn.end());
-  }
-  std::sort(events.begin(), events.end());
-
-  // An attempt's drain burns the battery whether or not its report makes it
-  // back. Battery death is permanent, but it gates *future* schedulability
-  // only: a finished client's report is already delivered when the OS kills
-  // the app, so it still counts toward this round (and may still crash or
-  // miss the deadline). Only in-flight clients burn, so all are alive here.
-  const auto burn = [&](std::uint32_t j, double drain_wh) {
-    result.energy_wh += drain_wh;
-    state_.battery_soc[j] = std::max(
-        0.0, state_.battery_soc[j] - drain_wh / state_.battery_capacity_wh[j]);
-    if (state_.battery_soc[j] <= config_.battery_floor_soc) {
-      state_.alive[j] = 0;
-      ++result.battery_deaths;
-    }
-    phase[j] = kIdle;
-  };
-  // Cancel an in-flight attempt at `at_s`: the compute burned so far drains
-  // the battery, comm energy only if the upload already started.
-  const auto cancel_inflight = [&](std::uint32_t j, double at_s) {
-    burn(j, state_.train_power_w[j] * std::min(at_s, compute_s_of[j]) / 3600.0 +
-                (at_s > compute_s_of[j] ? state_.comm_energy_wh[j] : 0.0));
-    ++result.dropped_offline;
-  };
-
-  for (const DynEvent& ev : events) {
-    ++result.events_processed;
-    const std::uint32_t j = ev.client;
-    switch (ev.kind) {
-      case Kind::kAvailOff:
-        if (phase[j] == kInflight) cancel_inflight(j, ev.time_s);
-        continue;
-      case Kind::kLeave:
-        dynamics->mark_departed(j);
-        ++result.leaves;
-        if (j < initial_n && phase[j] == kInflight) cancel_inflight(j, ev.time_s);
-        continue;
-      case Kind::kChargeEdge:
-        ++result.charge_edges;
-        continue;
-      case Kind::kNetSwitch:
-        dynamics->apply_net_switch(state_, j);
-        ++result.net_switches;
-        continue;
-      case Kind::kJoin:
-        dynamics->append_join(state_);
-        ++result.joins;
-        continue;
-      case Kind::kFinish:
-        break;
-    }
-
-    if (phase[j] != kInflight) continue;  // cancelled before it finished
-    // A mid-round net-switch mutates comm_s, so with dynamics the compute
-    // span comes from the snapshot taken at admission (the exchange energy
-    // uses the current row: the switch carried the actual bytes).
-    const double compute_s =
-        dyn ? compute_s_of[j] : ev.time_s - state_.comm_s[j];
-    burn(j, state_.train_power_w[j] * compute_s / 3600.0 + state_.comm_energy_wh[j]);
-    const double crash_draw =
-        hash_to_unit(mix(mix(config_.seed ^ kDropoutTag, round), j));
-    if (crash_draw < config_.dropout_prob) {
-      ++result.dropped_crash;
-      continue;
-    }
-    if (ev.time_s > config_.deadline_s) {
-      ++result.dropped_deadline;
-      continue;
-    }
-    phase[j] = kDelivered;
-    ++result.completed;
-    result.survivor_shards += shards_per_client[j];
-    result.makespan_s = std::max(result.makespan_s, ev.time_s);
-  }
-
-  // Collected in client-id order, not finish order, so the tree partition is
-  // a pure function of the survivor set.
-  for (std::uint32_t j = 0; j < initial_n; ++j) {
-    if (phase[j] == kDelivered) result.contributors.push_back(j);
+    // Joins only append new ids, which never run this round, so they commute
+    // with every client's events and are applied after them.
+    result.joins = dynamics->join_count(round, live);
+    dynamics->append_joins(state_, result.joins);
+    result.events_processed += result.joins;
   }
 
   const std::size_t dropped = result.dropped_crash + result.dropped_deadline +

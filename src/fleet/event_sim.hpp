@@ -1,12 +1,15 @@
 #pragma once
 // Discrete-event round simulator for fleet-scale FL.
 //
-// A round sorts a list of (finish time, client) events once and sweeps it
-// instead of stepping every client: only clients holding shards get an
-// event, so a 1M-client fleet where the plan touches 100k clients costs
-// O(participants log participants) — idle clients cost nothing. The sweep
-// runs in (finish, client-id) order, which fixes the processing order (and
-// the bits of the energy sum) independently of how the plan was produced.
+// A round is client-major: each client's events run in (time, kind) order,
+// which is the global (time, kind, client) order restricted to that client.
+// Handling an event touches only its own client's state, so clients run in
+// fixed chunks on common::global_pool() (common::map_chunks) and nothing is
+// sorted across clients. Idle clients without dynamics events cost one
+// check. Counts and maxima merge exactly and energy_wh is the exactly
+// rounded sum of the drains (common::ExactSum), so no result bit depends on
+// the chunking, the pool size or --parallel (tests/fleet/test_event_order.cpp
+// checks the round against one globally sorted sweep of all events).
 //
 // Faults mirror the testbed tier's kinds at fleet fidelity: a hashed
 // per-(seed, round, client) dropout draw (crash), a round deadline, and
@@ -28,15 +31,15 @@
 // to the flat left-to-right sum at every --parallel width
 // (tests/fleet/test_fleet_sim.cpp).
 //
-// Client dynamics (fleet/dynamics.hpp) join the same sorted list as
-// first-class events ranked *before* finish events at equal times:
-// availability-edge and leave cancel in-flight work (partial energy burned,
-// tallied as `dropped_offline`, which joins the deadline-hold rule),
-// charge-edge flips are observational counts, net-switch swaps the client's
-// network-cost row for future rounds, and join appends a new client through
-// the generator's prefix-stable extend. With a null or disabled dynamics
-// layer the sweep is exactly the one above — results and trace bytes are
-// bit-identical to a build without dynamics (test_event_order.cpp).
+// Client dynamics (fleet/dynamics.hpp) add per-client events that rank
+// *before* finish events at equal times: availability-edge and leave cancel
+// in-flight work (partial energy burned, tallied as `dropped_offline`, which
+// joins the deadline-hold rule), charge-edge flips are observational counts,
+// and net-switch swaps the client's network-cost row for future rounds.
+// Joins only append ids through the generator's prefix-stable extend, so they
+// commute with every client's events and run after the pass. With a null or
+// disabled dynamics layer the round is exactly the one above — results and
+// trace bytes are bit-identical to a build without dynamics.
 
 #include <cstddef>
 #include <cstdint>

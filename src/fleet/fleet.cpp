@@ -7,9 +7,11 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "device/battery.hpp"
 #include "device/device.hpp"
 #include "device/network.hpp"
+#include "fleet/dynamics.hpp"
 
 namespace fedsched::fleet {
 
@@ -155,33 +157,35 @@ void FleetGenerator::extend(FleetState& state, std::size_t target_n) const {
   const std::vector<double> weights(mix_.device_weights.begin(),
                                     mix_.device_weights.end());
 
-  for (std::size_t j = start; j < target_n; ++j) {
-    // One independent stream per client, a pure function of (seed, j): the
-    // draw order below is part of the format — reordering it changes every
-    // fleet ever generated. Prefix stability is what lets churn joins append
-    // clients bitwise-identical to a larger initial generation.
-    common::Rng rng = root_.fork(j);
-    const std::size_t phone = common::weighted_choice(rng, weights);
-    const bool lte = rng.bernoulli(mix_.lte_fraction);
-    const double soc = rng.uniform(mix_.soc_min, mix_.soc_max);
-    const double speed = std::exp(mix_.speed_sigma * rng.gaussian());
-    const double temp_jitter = rng.uniform(0.0, 8.0);
+  common::for_chunks(target_n - start, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = start + lo; j < start + hi; ++j) {
+      // One independent stream per client, a pure function of (seed, j): the
+      // draw order below is part of the format — reordering it changes every
+      // fleet ever generated. Prefix stability is what lets churn joins append
+      // clients bitwise-identical to a larger initial generation.
+      common::Rng rng = root_.fork(j);
+      const std::size_t phone = common::weighted_choice(rng, weights);
+      const bool lte = rng.bernoulli(mix_.lte_fraction);
+      const double soc = rng.uniform(mix_.soc_min, mix_.soc_max);
+      const double speed = std::exp(mix_.speed_sigma * rng.gaussian());
+      const double temp_jitter = rng.uniform(0.0, 8.0);
 
-    const PhoneBase& base = base_[phone];
-    state.device_model[j] = static_cast<std::uint8_t>(phone);
-    state.network[j] = lte ? 1 : 0;
-    state.speed_factor[j] = speed;
-    state.base_s[j] = base.intercept_s / speed;
-    state.per_sample_s[j] = base.per_sample_s / speed;
-    state.comm_s[j] = comm_s_by_network_[lte ? 1 : 0];
-    state.battery_soc[j] = soc;
-    state.battery_capacity_wh[j] = base.battery_capacity_wh;
-    state.train_power_w[j] = base.train_power_w;
-    state.comm_energy_wh[j] = comm_energy_by_network_[lte ? 1 : 0];
-    state.temp_c[j] = base.ambient_c + temp_jitter;
-    state.capacity_shards[j] = mix_.capacity_shards;
-    state.alive[j] = 1;
-  }
+      const PhoneBase& base = base_[phone];
+      state.device_model[j] = static_cast<std::uint8_t>(phone);
+      state.network[j] = lte ? 1 : 0;
+      state.speed_factor[j] = speed;
+      state.base_s[j] = base.intercept_s / speed;
+      state.per_sample_s[j] = base.per_sample_s / speed;
+      state.comm_s[j] = comm_s_by_network_[lte ? 1 : 0];
+      state.battery_soc[j] = soc;
+      state.battery_capacity_wh[j] = base.battery_capacity_wh;
+      state.train_power_w[j] = base.train_power_w;
+      state.comm_energy_wh[j] = comm_energy_by_network_[lte ? 1 : 0];
+      state.temp_c[j] = base.ambient_c + temp_jitter;
+      state.capacity_shards[j] = mix_.capacity_shards;
+      state.alive[j] = 1;
+    }
+  });
 }
 
 FleetState FleetGenerator::generate(std::size_t n, obs::TraceWriter* trace) const {
@@ -211,8 +215,13 @@ FleetState FleetGenerator::generate(std::size_t n, obs::TraceWriter* trace) cons
   return state;
 }
 
-sched::LinearCosts linear_costs(const FleetState& state, std::size_t shard_size,
-                                double battery_floor_soc) {
+namespace {
+
+/// The scheduler view in one chunked pass; capacity is zeroed wherever
+/// admit(j) is false.
+template <class Admit>
+sched::LinearCosts cost_view(const FleetState& state, std::size_t shard_size,
+                             double battery_floor_soc, const Admit& admit) {
   const std::size_t n = state.size();
   std::vector<double> base(n);
   std::vector<double> per_shard(n);
@@ -220,23 +229,44 @@ sched::LinearCosts linear_costs(const FleetState& state, std::size_t shard_size,
   std::vector<double> base_wh(n);
   std::vector<double> per_shard_wh(n);
   std::vector<double> budget_wh(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    base[j] = state.base_s[j] + state.comm_s[j];
-    per_shard[j] = state.per_sample_s[j] * static_cast<double>(shard_size);
-    capacity[j] = state.alive[j] ? state.capacity_shards[j] : 0;
-    // Mirrors the simulator's drain rule exactly: training power over the
-    // compute span plus the per-round exchange energy.
-    base_wh[j] = state.train_power_w[j] * state.base_s[j] / 3600.0 +
-                 state.comm_energy_wh[j];
-    per_shard_wh[j] = state.train_power_w[j] * per_shard[j] / 3600.0;
-    budget_wh[j] = std::max(0.0, state.battery_soc[j] - battery_floor_soc) *
-                   state.battery_capacity_wh[j];
-  }
+  common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      base[j] = state.base_s[j] + state.comm_s[j];
+      per_shard[j] = state.per_sample_s[j] * static_cast<double>(shard_size);
+      capacity[j] = admit(j) ? state.capacity_shards[j] : 0;
+      // Mirrors the simulator's drain rule exactly: training power over the
+      // compute span plus the per-round exchange energy.
+      base_wh[j] = state.train_power_w[j] * state.base_s[j] / 3600.0 +
+                   state.comm_energy_wh[j];
+      per_shard_wh[j] = state.train_power_w[j] * per_shard[j] / 3600.0;
+      budget_wh[j] = std::max(0.0, state.battery_soc[j] - battery_floor_soc) *
+                     state.battery_capacity_wh[j];
+    }
+  });
   sched::LinearCosts costs(std::move(base), std::move(per_shard),
                            std::move(capacity), shard_size);
   costs.set_energy(std::move(base_wh), std::move(per_shard_wh),
                    std::move(budget_wh));
   return costs;
+}
+
+}  // namespace
+
+sched::LinearCosts linear_costs(const FleetState& state, std::size_t shard_size,
+                                double battery_floor_soc) {
+  return cost_view(state, shard_size, battery_floor_soc,
+                   [&](std::size_t j) { return state.alive[j] != 0; });
+}
+
+sched::LinearCosts dynamic_linear_costs(const FleetState& state,
+                                        std::size_t shard_size,
+                                        ClientDynamics& dynamics,
+                                        double battery_floor_soc) {
+  if (!dynamics.enabled()) return linear_costs(state, shard_size, battery_floor_soc);
+  dynamics.ensure_size(state.size());
+  return cost_view(state, shard_size, battery_floor_soc, [&](std::size_t j) {
+    return dynamics.schedulable(state, j);
+  });
 }
 
 }  // namespace fedsched::fleet

@@ -67,18 +67,19 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
   result.assignment.shard_size = costs.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    shards[j] = costs.max_shards_within(j, threshold);
-  }
+  common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) shards[j] = costs.max_shards_within(j, threshold);
+  });
 
   // Surplus trim, same rule (and code) as the exact path.
   result.trimmed_shards = trim_surplus(costs, shards, total_shards);
 
-  double actual = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (shards[j] > 0) actual = std::max(actual, costs.cost(j, shards[j]));
-  }
-  result.makespan_seconds = actual;
+  result.makespan_seconds = common::reduce_chunks(
+      n, 0.0,
+      [&](double& actual, std::size_t j) {
+        if (shards[j] > 0) actual = std::max(actual, costs.cost(j, shards[j]));
+      },
+      [](double a, double b) { return std::max(a, b); });
 
   if (trace != nullptr && trace->enabled()) {
     // Unlike sched_lbap, no per-user shard list: at fleet scale that array is

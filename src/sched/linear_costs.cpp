@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+
+#include "common/thread_pool.hpp"
 
 namespace fedsched::sched {
 
@@ -40,13 +43,24 @@ LinearCosts::LinearCosts(std::vector<double> base_s, std::vector<double> per_sha
     throw std::invalid_argument("LinearCosts: misaligned vectors");
   }
   if (shard_size_ == 0) throw std::invalid_argument("LinearCosts: zero shard size");
-  for (std::size_t j = 0; j < base_s_.size(); ++j) {
-    if (!(base_s_[j] >= 0.0) || !(per_shard_s_[j] >= 0.0)) {
-      throw std::invalid_argument("LinearCosts: negative or NaN cost coefficients");
-    }
-    total_capacity_ += capacity_[j];
-    if (capacity_[j] > 0) lo_cost_ = std::min(lo_cost_, cost(j, 1));
-  }
+  struct Part {
+    bool valid = true;
+    std::size_t capacity = 0;
+    double lo = std::numeric_limits<double>::infinity();
+  };
+  const Part all = common::reduce_chunks(
+      users(), Part{},
+      [&](Part& p, std::size_t j) {
+        p.valid &= base_s_[j] >= 0.0 && per_shard_s_[j] >= 0.0;
+        p.capacity += capacity_[j];
+        if (capacity_[j] > 0) p.lo = std::min(p.lo, cost(j, 1));
+      },
+      [](Part a, const Part& b) {
+        return Part{a.valid && b.valid, a.capacity + b.capacity, std::min(a.lo, b.lo)};
+      });
+  if (!all.valid) throw std::invalid_argument("LinearCosts: negative or NaN cost coefficients");
+  total_capacity_ = all.capacity;
+  lo_cost_ = all.lo;
   if (total_capacity_ == 0) throw std::invalid_argument("LinearCosts: zero capacity");
 }
 
@@ -56,12 +70,14 @@ std::size_t LinearCosts::max_shards_within(std::size_t user,
 }
 
 std::size_t LinearCosts::total_budget(double threshold, std::size_t target) const {
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < base_s_.size(); ++j) {
-    total += max_shards_within(j, threshold);
-    if (total >= target) return total;
-  }
-  return total;
+  // Each chunk stops adding once it alone reaches the target; the partials
+  // then sum to at least the target iff the full sum does.
+  return common::reduce_chunks(
+      users(), std::size_t{0},
+      [&](std::size_t& sum, std::size_t j) {
+        if (sum < target) sum += max_shards_within(j, threshold);
+      },
+      std::plus<>());
 }
 
 void LinearCosts::set_energy(std::vector<double> base_wh,
@@ -71,13 +87,16 @@ void LinearCosts::set_energy(std::vector<double> base_wh,
       budget_wh.size() != base_s_.size()) {
     throw std::invalid_argument("LinearCosts::set_energy: misaligned vectors");
   }
-  for (std::size_t j = 0; j < base_wh.size(); ++j) {
-    if (!(base_wh[j] >= 0.0) || !(per_shard_wh[j] >= 0.0) ||
-        !(budget_wh[j] >= 0.0) || !std::isfinite(base_wh[j]) ||
-        !std::isfinite(per_shard_wh[j])) {
-      throw std::invalid_argument(
-          "LinearCosts::set_energy: negative or NaN energy coefficients");
-    }
+  const bool valid = common::reduce_chunks(
+      users(), 1,
+      [&](int& ok, std::size_t j) {
+        ok &= base_wh[j] >= 0.0 && per_shard_wh[j] >= 0.0 && budget_wh[j] >= 0.0 &&
+              std::isfinite(base_wh[j]) && std::isfinite(per_shard_wh[j]);
+      },
+      std::bit_and<>());
+  if (!valid) {
+    throw std::invalid_argument(
+        "LinearCosts::set_energy: negative or NaN energy coefficients");
   }
   base_wh_ = std::move(base_wh);
   per_shard_wh_ = std::move(per_shard_wh);
@@ -89,13 +108,14 @@ std::size_t LinearCosts::max_shards_within_battery(std::size_t user) const noexc
                        budget_wh_[user]);
 }
 
-double LinearCosts::max_full_cost(std::size_t shard_cap) const noexcept {
-  double hi = 0.0;
-  for (std::size_t j = 0; j < base_s_.size(); ++j) {
-    const std::size_t k = std::min<std::size_t>(capacity_[j], shard_cap);
-    if (k > 0) hi = std::max(hi, cost(j, k));
-  }
-  return hi;
+double LinearCosts::max_full_cost(std::size_t shard_cap) const {
+  return common::reduce_chunks(
+      users(), 0.0,
+      [&](double& top, std::size_t j) {
+        const std::size_t k = std::min<std::size_t>(capacity_[j], shard_cap);
+        if (k > 0) top = std::max(top, cost(j, k));
+      },
+      [](double a, double b) { return std::max(a, b); });
 }
 
 }  // namespace fedsched::sched

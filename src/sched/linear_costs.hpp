@@ -51,13 +51,15 @@ class LinearCosts {
   [[nodiscard]] std::size_t max_shards_within(std::size_t user,
                                               double threshold) const noexcept;
 
-  /// Sum of per-user budgets at the threshold; early-exits at target.
+  /// Sum of per-user budgets at the threshold, exact below target; once the
+  /// sum reaches target the scan may stop early (the result is then >=
+  /// target, a pure function of the inputs).
   [[nodiscard]] std::size_t total_budget(double threshold, std::size_t target) const;
 
   /// Smallest single-shard cost over clients with capacity >= 1.
   [[nodiscard]] double min_single_shard_cost() const noexcept { return lo_cost_; }
   /// Largest cost(j, min(capacity_j, shard_cap)) over clients with capacity.
-  [[nodiscard]] double max_full_cost(std::size_t shard_cap) const noexcept;
+  [[nodiscard]] double max_full_cost(std::size_t shard_cap) const;
   /// Total schedulable capacity in shards.
   [[nodiscard]] std::size_t total_capacity() const noexcept { return total_capacity_; }
 

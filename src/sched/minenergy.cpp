@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
+#include "common/stats.hpp"
 #include "common/json.hpp"
 #include "sched/bucketed.hpp"
 #include "sched/selection.hpp"
@@ -26,11 +28,13 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
   // Battery + capacity feasibility is a hard precondition; the time cap below
   // is the only constraint the greedy may relax.
   std::vector<std::size_t> hard_cap(n);
-  std::size_t hard_total = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    hard_cap[j] = costs.max_shards_within_battery(j);
-    hard_total += hard_cap[j];
-  }
+  const std::size_t hard_total = common::reduce_chunks(
+      n, std::size_t{0},
+      [&](std::size_t& sum, std::size_t j) {
+        hard_cap[j] = costs.max_shards_within_battery(j);
+        sum += hard_cap[j];
+      },
+      std::plus<>());
   if (hard_total < total_shards) {
     throw std::invalid_argument(
         "fed_minenergy: battery budgets cannot host the dataset");
@@ -57,20 +61,21 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
   // chain before any costlier bid: every client is one run keyed by its
   // first bid, and the `want` cheapest units are a weighted selection.
   const auto greedy = [&](std::size_t want, bool timed) {
-    std::vector<UnitRun> runs;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t cap =
-          timed && std::isfinite(cap_s)
-              ? std::min(hard_cap[j], costs.max_shards_within(j, cap_s))
-              : hard_cap[j];
-      if (shards[j] >= cap) continue;
-      const double bid = shards[j] == 0 ? costs.energy(j, 1)
-                                        : costs.per_shard_energy_wh(j);
-      runs.push_back({bid, static_cast<std::uint32_t>(j),
-                      static_cast<std::uint32_t>(cap - shards[j])});
-    }
-    const std::size_t placed = select_units(runs, want);
-    for (const UnitRun& run : runs) shards[run.user] += run.count;
+    const auto build = [&](std::size_t lo, std::size_t hi, std::vector<UnitRun>& runs) {
+      for (std::size_t j = lo; j < hi; ++j) {
+        const std::size_t cap =
+            timed && std::isfinite(cap_s)
+                ? std::min(hard_cap[j], costs.max_shards_within(j, cap_s))
+                : hard_cap[j];
+        if (shards[j] >= cap) continue;
+        const double bid = shards[j] == 0 ? costs.energy(j, 1)
+                                          : costs.per_shard_energy_wh(j);
+        runs.push_back({bid, static_cast<std::uint32_t>(j),
+                        static_cast<std::uint32_t>(cap - shards[j])});
+      }
+    };
+    const std::size_t placed = select_over_users(
+        n, want, build, [&](const UnitRun& run) { shards[run.user] += run.count; });
     result.steps += placed;
     return placed;
   };
@@ -83,12 +88,24 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
     greedy(result.relaxed_shards, false);
   }
 
-  for (std::size_t j = 0; j < n; ++j) {
-    if (shards[j] == 0) continue;
-    result.total_energy_wh += costs.energy(j, shards[j]);
-    result.makespan_seconds =
-        std::max(result.makespan_seconds, costs.cost(j, shards[j]));
-  }
+  struct Part {
+    common::ExactSum energy_wh;
+    double makespan_s = 0.0;
+  };
+  const Part all = common::reduce_chunks(
+      n, Part{},
+      [&](Part& p, std::size_t j) {
+        if (shards[j] == 0) return;
+        p.energy_wh.add(costs.energy(j, shards[j]));
+        p.makespan_s = std::max(p.makespan_s, costs.cost(j, shards[j]));
+      },
+      [](Part a, const Part& b) {
+        a.energy_wh.merge(b.energy_wh);
+        a.makespan_s = std::max(a.makespan_s, b.makespan_s);
+        return a;
+      });
+  result.total_energy_wh = all.energy_wh.value();
+  result.makespan_seconds = all.makespan_s;
 
   if (trace != nullptr && trace->enabled()) {
     common::JsonObject ev;

@@ -48,7 +48,7 @@ struct MinEnergyConfig {
 struct MinEnergyResult {
   Assignment assignment;
   double makespan_seconds = 0.0;
-  /// Sum of busy users' energy(j, k_j) — the objective.
+  /// Sum of busy users' energy(j, k_j), exactly rounded — the objective.
   double total_energy_wh = 0.0;
   /// The effective time cap the greedy ran under.
   double time_cap_s = 0.0;

@@ -22,7 +22,12 @@ namespace fs = std::filesystem;
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "fedsched_ckpt_corruption";
+    // Unique dir per test case: ctest runs cases as concurrent processes,
+    // and a shared directory gets clobbered by a sibling's SetUp/TearDown.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           (std::string("fedsched_ckpt_corruption_") + info->name());
+    fs::remove_all(dir_);
     fs::create_directories(dir_);
     path_ = (dir_ / "run.ckpt").string();
     save_checkpoint(make_state(), path_);

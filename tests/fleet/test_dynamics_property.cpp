@@ -29,6 +29,25 @@ FleetGenerator make_generator(std::uint64_t seed) {
   return FleetGenerator(mix, device::lenet_desc(), seed);
 }
 
+/// One round of churn as the simulator applies it: every live client's
+/// leave and net-switch draws (leaves take effect), then the joins sized
+/// from the live count. Returns the drawn events.
+std::vector<DynEvent> apply_churn(ClientDynamics& d, FleetState& s,
+                                  std::size_t round, double span) {
+  std::vector<DynEvent> events;
+  std::size_t live = 0;
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    if (s.alive[j] == 0 || d.departed(j)) continue;
+    ++live;
+    d.churn_events(round, j, span, events);
+  }
+  for (const DynEvent& ev : events) {
+    if (ev.kind == DynEvent::Kind::kLeave) d.mark_departed(ev.client);
+  }
+  d.append_joins(s, d.join_count(round, live));
+  return events;
+}
+
 std::vector<std::size_t> plan_for(const sched::LinearCosts& costs,
                                   std::size_t total_shards) {
   return sched::fed_lbap_bucketed(costs, total_shards, 64)
@@ -128,12 +147,15 @@ TEST(Dynamics, JoinsNeverReuseALiveClientId) {
 
   FleetState state = generator.generate(100);
   std::uint32_t prev = 99;
-  for (int i = 0; i < 50; ++i) {
-    const std::uint32_t id = dyn.append_join(state);
+  for (int i = 0; i < 25; ++i) {
+    const std::uint32_t id = dyn.append_joins(state, 1);
     EXPECT_EQ(id, prev + 1) << "ids must append, never reuse";
     EXPECT_EQ(state.size(), static_cast<std::size_t>(id) + 1);
     prev = id;
   }
+  EXPECT_EQ(dyn.append_joins(state, 0), 125u);  // no joins: nothing appended
+  EXPECT_EQ(dyn.append_joins(state, 25), 125u);  // a batch appends in order
+  EXPECT_EQ(state.size(), 150u);
   // Prefix stability: the joined clients are bitwise the ones a larger
   // initial generation would have produced.
   const FleetState direct = generator.generate(150);
@@ -154,10 +176,7 @@ TEST(Dynamics, SnapshotRestoreIsBitwiseStable) {
   dyn.ensure_size(state.size());
   // Advance through three rounds of churn + charging.
   for (std::size_t round = 0; round < 3; ++round) {
-    for (const DynEvent& ev : dyn.churn_events(state, round, 10.0)) {
-      if (ev.kind == DynEvent::Kind::kLeave) dyn.mark_departed(ev.client);
-      if (ev.kind == DynEvent::Kind::kJoin) dyn.append_join(state);
-    }
+    apply_churn(dyn, state, round, 10.0);
     dyn.finish_round(state, 10.0);
   }
 
@@ -168,12 +187,11 @@ TEST(Dynamics, SnapshotRestoreIsBitwiseStable) {
   const auto continue_run = [&](ClientDynamics& d, FleetState s) {
     std::ostringstream log;
     for (std::size_t round = 3; round < 5; ++round) {
-      for (const DynEvent& ev : d.churn_events(s, round, 10.0)) {
+      for (const DynEvent& ev : apply_churn(d, s, round, 10.0)) {
         log << static_cast<int>(ev.kind) << ':' << ev.client << ':'
             << ev.time_s << ';';
-        if (ev.kind == DynEvent::Kind::kLeave) d.mark_departed(ev.client);
-        if (ev.kind == DynEvent::Kind::kJoin) d.append_join(s);
       }
+      log << "n=" << s.size() << ';';
       log << "rev=" << d.finish_round(s, 10.0) << ";clock=" << d.now_s() << ';';
       for (const double soc : s.battery_soc) log << soc << ',';
     }
@@ -231,27 +249,36 @@ TEST(Dynamics, ScenarioPresetsAreNamedAndValid) {
 
 TEST(Dynamics, ChurnEventsAreAPureFunctionOfSeedRoundClient) {
   const FleetGenerator generator = make_generator(51);
-  const DynamicsConfig config = scenario_config("churn", 77);
+  DynamicsConfig config = scenario_config("churn", 77);
+  config.net_switch_prob_per_round = 0.2;
   const FleetState state = generator.generate(400);
 
   ClientDynamics a(config, &generator);
   ClientDynamics b(config, &generator);
   a.ensure_size(state.size());
   b.ensure_size(state.size());
+  std::size_t drawn = 0;
   for (std::size_t round = 0; round < 4; ++round) {
-    const std::vector<DynEvent> ea = a.churn_events(state, round, 25.0);
-    const std::vector<DynEvent> eb = b.churn_events(state, round, 25.0);
-    ASSERT_EQ(ea.size(), eb.size());
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      EXPECT_EQ(ea[i].time_s, eb[i].time_s);
-      EXPECT_EQ(ea[i].kind, eb[i].kind);
-      EXPECT_EQ(ea[i].client, eb[i].client);
-      if (i > 0) {
-        // Sorted by (time, kind, client).
-        EXPECT_LE(ea[i - 1].time_s, ea[i].time_s);
+    EXPECT_EQ(a.join_count(round, 400), b.join_count(round, 400));
+    // b visits the clients in reverse: no draw depends on visiting order.
+    for (std::size_t k = 0; k < state.size(); ++k) {
+      const std::size_t j = state.size() - 1 - k;
+      std::vector<DynEvent> ea, eb;
+      a.churn_events(round, j, 25.0, ea);
+      b.churn_events(round, j, 25.0, eb);
+      ASSERT_EQ(ea.size(), eb.size());
+      ASSERT_LE(ea.size(), 2u);  // at most one leave and one net switch
+      drawn += ea.size();
+      for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].time_s, eb[i].time_s);
+        EXPECT_EQ(ea[i].kind, eb[i].kind);
+        EXPECT_EQ(ea[i].client, j);
+        EXPECT_GE(ea[i].time_s, 0.0);
+        EXPECT_LT(ea[i].time_s, 25.0);
       }
     }
   }
+  EXPECT_GT(drawn, 0u);
 }
 
 // ---- charge-revival regression ---------------------------------------------

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/thread_pool.hpp"
 #include "device/model_desc.hpp"
 
 namespace fedsched::fleet {
@@ -127,6 +128,37 @@ TEST(FleetGenerator, ClientsKeepIdentityAsFleetGrows) {
     EXPECT_EQ(small.speed_factor[j], large.speed_factor[j]);
     EXPECT_EQ(small.battery_soc[j], large.battery_soc[j]);
   }
+}
+
+void expect_same_fleet(const FleetState& a, const FleetState& b) {
+  EXPECT_EQ(a.device_model, b.device_model);
+  EXPECT_EQ(a.network, b.network);
+  EXPECT_EQ(a.speed_factor, b.speed_factor);
+  EXPECT_EQ(a.base_s, b.base_s);
+  EXPECT_EQ(a.per_sample_s, b.per_sample_s);
+  EXPECT_EQ(a.comm_s, b.comm_s);
+  EXPECT_EQ(a.battery_soc, b.battery_soc);
+  EXPECT_EQ(a.battery_capacity_wh, b.battery_capacity_wh);
+  EXPECT_EQ(a.train_power_w, b.train_power_w);
+  EXPECT_EQ(a.comm_energy_wh, b.comm_energy_wh);
+  EXPECT_EQ(a.temp_c, b.temp_c);
+  EXPECT_EQ(a.capacity_shards, b.capacity_shards);
+  EXPECT_EQ(a.alive, b.alive);
+}
+
+TEST(FleetGenerator, ChunkedExtendMatchesSerialGrowth) {
+  // Three chunks from zero; from a non-zero start (the join path) the chunk
+  // boundaries fall elsewhere; one client at a time is the serial order.
+  const std::size_t n = 2 * common::kChunkGrain + 36'000;
+  const FleetGenerator gen(skewed_mix(), kModel, 99);
+  const FleetState whole = gen.generate(n);
+  FleetState grown = gen.generate(1'001);
+  gen.extend(grown, n);
+  FleetState serial;
+  for (std::size_t j = 1; j <= n; ++j) gen.extend(serial, j);
+  expect_aligned(whole, n);
+  expect_same_fleet(grown, whole);
+  expect_same_fleet(serial, whole);
 }
 
 TEST(FleetGenerator, LinearCostsViewMatchesState) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "nn/models.hpp"
 
@@ -13,7 +14,11 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fedsched_serialize_test";
+    // Unique dir per test case: ctest runs cases as concurrent processes,
+    // and a shared directory gets clobbered by a sibling's SetUp/TearDown.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("fedsched_serialize_test_") + info->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -12,12 +12,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "../support/exact_sum_oracle.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "device/model_desc.hpp"
 #include "fleet/dynamics.hpp"
 #include "fleet/fleet.hpp"
@@ -129,11 +133,14 @@ MinEnergyResult heap_minenergy(const LinearCosts& costs, std::size_t total_shard
     result.relaxed_shards = total_shards - placed;
     greedy(total_shards - placed);
   }
+  std::vector<double> energies;
   for (std::size_t j = 0; j < n; ++j) {
     if (shards[j] == 0) continue;
-    result.total_energy_wh += costs.energy(j, shards[j]);
+    energies.push_back(costs.energy(j, shards[j]));
     result.makespan_seconds = std::max(result.makespan_seconds, costs.cost(j, shards[j]));
   }
+  // The objective is the exactly rounded sum, whatever the summation order.
+  result.total_energy_wh = testing_support::exact_sum_oracle(energies);
   return result;
 }
 
@@ -399,6 +406,206 @@ TEST(MinEnergyOracle, GeneratedChurnFleetMatchesHeap) {
   MinEnergyConfig tight;
   tight.makespan_slack = 1.0;
   expect_minenergy_matches_heap(costs, 2 * n, tight);
+}
+
+// ---- chunked passes: more than two grains, so several chunks run ----------
+
+/// Kept units per user after a selection over chunks.
+std::vector<std::size_t> kept_per_user(const std::vector<std::vector<UnitRun>>& chunks,
+                                       std::size_t users) {
+  std::vector<std::size_t> kept(users, 0);
+  for (const std::vector<UnitRun>& runs : chunks) {
+    for (const UnitRun& r : runs) kept[r.user] += r.count;
+  }
+  return kept;
+}
+
+/// The histogram-narrowed selection over `chunks` must keep exactly the
+/// units plain select_units keeps over their union.
+void expect_chunked_matches_plain(std::vector<std::vector<UnitRun>> chunks,
+                                  std::size_t users, std::size_t need) {
+  std::vector<UnitRun> all;
+  for (const std::vector<UnitRun>& runs : chunks) all.insert(all.end(), runs.begin(), runs.end());
+  const std::size_t want_units = select_units(all, need);
+  const std::size_t got_units = select_units(chunks, need);
+  EXPECT_EQ(got_units, want_units) << "need " << need;
+  EXPECT_EQ(kept_per_user(chunks, users), kept_per_user({all}, users)) << "need " << need;
+}
+
+TEST(ChunkedSelection, MatchesPlainSelectionOnHardInputs) {
+  common::Rng rng(0xc4a2c);
+  const std::size_t users = 3000;
+  // Users are split over four chunks, each chunk owning a contiguous range.
+  const auto chunked = [&](auto key_of) {
+    std::vector<std::vector<UnitRun>> chunks(4);
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < users; ++j) {
+      const auto count = static_cast<std::uint32_t>(1 + rng.uniform_int(4));
+      chunks[j * 4 / users].push_back({key_of(j), static_cast<std::uint32_t>(j), count});
+      total += count;
+    }
+    return std::make_pair(chunks, total);
+  };
+  const std::vector<std::function<double(std::size_t)>> key_shapes = {
+      [](std::size_t) { return 1.5; },  // all keys equal: one bucket
+      // Keys on the bucket edges: range 4096 over 4096 buckets.
+      [&](std::size_t) { return static_cast<double>(rng.uniform_int(4097)); },
+      [&](std::size_t) { return rng.uniform(-3.0, 3.0); },
+      // Two far-apart clusters: most buckets empty, ties inside clusters.
+      [&](std::size_t j) { return j % 2 ? 1e9 : static_cast<double>(rng.uniform_int(3)); },
+  };
+  for (std::size_t shape = 0; shape < key_shapes.size(); ++shape) {
+    SCOPED_TRACE(testing::Message() << "key shape " << shape);
+    const auto [chunks, total] = chunked(key_shapes[shape]);
+    for (const std::size_t need : {std::size_t{0}, std::size_t{1}, total / 3, total - 1,
+                                   total, total + 5}) {
+      expect_chunked_matches_plain(chunks, users, need);
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      expect_chunked_matches_plain(chunks, users, rng.uniform_int(total + 1));
+    }
+  }
+  std::vector<std::vector<UnitRun>> none(3);
+  EXPECT_EQ(select_units(none, 4), 0u);
+}
+
+/// A generated fleet of three chunks.
+fleet::FleetState three_chunk_fleet(const fleet::FleetMix& mix, std::uint64_t seed) {
+  return fleet::FleetGenerator(mix, device::lenet_desc(), seed)
+      .generate(2 * common::kChunkGrain + 36'000);
+}
+
+/// fed_lbap_bucketed as one serial scan per pass, trimmed by the heap.
+BucketedLbapResult serial_lbap(const LinearCosts& costs, std::size_t total,
+                               std::size_t buckets) {
+  const std::size_t n = costs.users();
+  double lo = kInf, hi = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t k = std::min(costs.capacity(j), total);
+    if (k == 0) continue;
+    lo = std::min(lo, costs.cost(j, 1));
+    hi = std::max(hi, costs.cost(j, k));
+  }
+  const double width = (hi - lo) / static_cast<double>(buckets);
+  const auto budgets = [&](double threshold) {
+    std::vector<std::size_t> b(n);
+    for (std::size_t j = 0; j < n; ++j) b[j] = costs.max_shards_within(j, threshold);
+    return b;
+  };
+  const auto sum = [](const std::vector<std::size_t>& v) {
+    std::size_t s = 0;
+    for (const std::size_t x : v) s += x;
+    return s;
+  };
+  BucketedLbapResult r;
+  r.buckets = buckets;
+  r.bucket_width = width;
+  std::size_t lo_i = 0, hi_i = buckets;
+  while (lo_i < hi_i) {
+    const std::size_t mid = lo_i + (hi_i - lo_i) / 2;
+    ++r.search_iterations;
+    const double t = mid == buckets ? hi : lo + width * static_cast<double>(mid);
+    if (sum(budgets(t)) >= total) {
+      hi_i = mid;
+    } else {
+      lo_i = mid + 1;
+    }
+  }
+  r.threshold_seconds = lo_i == buckets ? hi : lo + width * static_cast<double>(lo_i);
+  const std::vector<std::size_t> b = budgets(r.threshold_seconds);
+  r.trimmed_shards = sum(b) - total;
+  r.assignment.shards_per_user = heap_trim(costs, b, total);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t k = r.assignment.shards_per_user[j];
+    if (k > 0) r.makespan_seconds = std::max(r.makespan_seconds, costs.cost(j, k));
+  }
+  return r;
+}
+
+TEST(ChunkedSelection, FedLbapAndTrimMatchSerialCopyAtThreeChunks) {
+  const fleet::FleetState state = three_chunk_fleet(fleet::FleetMix{}, 37);
+  const LinearCosts costs = fleet::linear_costs(state, /*shard_size=*/100);
+  for (const std::size_t buckets : {std::size_t{64}, std::size_t{4096}}) {
+    SCOPED_TRACE(testing::Message() << buckets << " buckets");
+    const BucketedLbapResult got = fed_lbap_bucketed(costs, 2 * state.size(), buckets);
+    const BucketedLbapResult want = serial_lbap(costs, 2 * state.size(), buckets);
+    EXPECT_GT(got.trimmed_shards, 0u);
+    EXPECT_EQ(got.assignment.shards_per_user, want.assignment.shards_per_user);
+    EXPECT_EQ(got.threshold_seconds, want.threshold_seconds);
+    EXPECT_EQ(got.bucket_width, want.bucket_width);
+    EXPECT_EQ(got.search_iterations, want.search_iterations);
+    EXPECT_EQ(got.trimmed_shards, want.trimmed_shards);
+    EXPECT_EQ(got.makespan_seconds, want.makespan_seconds);
+  }
+}
+
+TEST(ChunkedSelection, MinEnergyMatchesHeapAtThreeChunks) {
+  fleet::FleetMix mix;
+  mix.capacity_shards = 16;
+  mix.lte_fraction = 0.3;
+  const fleet::FleetState state = three_chunk_fleet(mix, 41);
+  const LinearCosts costs = fleet::linear_costs(state, 100);
+  expect_minenergy_matches_heap(costs, 2 * state.size(), MinEnergyConfig{});
+  MinEnergyConfig tight;  // a cap that cannot host the load: the relaxed pass runs
+  tight.makespan_cap_s = 0.9 * fed_lbap_bucketed(costs, 2 * state.size(), 64).makespan_seconds;
+  EXPECT_GT(expect_minenergy_matches_heap(costs, 2 * state.size(), tight), 0u);
+}
+
+TEST(ChunkedSelection, ConcurrentCallersShareTheGlobalPool) {
+  // Coordinator workers plan fleets concurrently: their chunked passes
+  // interleave on one global_pool() and must not disturb each other.
+  const fleet::FleetState state = three_chunk_fleet(fleet::FleetMix{}, 47);
+  const LinearCosts costs = fleet::linear_costs(state, 100);
+  const std::vector<std::size_t> want =
+      fed_lbap_bucketed(costs, 2 * state.size(), 64).assignment.shards_per_user;
+  std::vector<std::vector<std::size_t>> got(3);
+  std::vector<std::thread> callers;
+  for (std::vector<std::size_t>& out : got) {
+    callers.emplace_back([&costs, &state, &out] {
+      out = fed_lbap_bucketed(costs, 2 * state.size(), 64).assignment.shards_per_user;
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const std::vector<std::size_t>& out : got) EXPECT_EQ(out, want);
+}
+
+TEST(LinearCosts, ChunkedPassesMatchSerialScans) {
+  const fleet::FleetState state = three_chunk_fleet(fleet::FleetMix{}, 43);
+  fleet::FleetState with_dead = state;
+  for (std::size_t j = 0; j < with_dead.size(); j += 5) with_dead.alive[j] = 0;
+  const LinearCosts costs = fleet::linear_costs(with_dead, 100);
+  std::size_t capacity = 0;
+  double lo = kInf, full = 0.0;
+  for (std::size_t j = 0; j < costs.users(); ++j) {
+    capacity += costs.capacity(j);
+    if (costs.capacity(j) == 0) continue;
+    lo = std::min(lo, costs.cost(j, 1));
+    full = std::max(full, costs.cost(j, std::min<std::size_t>(costs.capacity(j), 3)));
+  }
+  EXPECT_EQ(costs.total_capacity(), capacity);
+  EXPECT_EQ(costs.min_single_shard_cost(), lo);
+  EXPECT_EQ(costs.max_full_cost(3), full);
+  for (const double threshold : {lo, 0.5 * (lo + full), full}) {
+    std::size_t budget = 0;
+    for (std::size_t j = 0; j < costs.users(); ++j) {
+      budget += costs.max_shards_within(j, threshold);
+    }
+    // Exact below the target; at or above it only the comparison is fixed.
+    EXPECT_EQ(costs.total_budget(threshold, budget + 1), budget);
+    EXPECT_GE(costs.total_budget(threshold, budget), budget);
+    EXPECT_LT(costs.total_budget(threshold, budget + 1), budget + 1);
+  }
+  // A bad coefficient in the last chunk is still caught.
+  std::vector<double> base(costs.users(), 1.0), per(costs.users(), 1.0);
+  std::vector<std::uint32_t> cap(costs.users(), 1);
+  per.back() = -1.0;
+  EXPECT_THROW(LinearCosts(base, per, cap, 1), std::invalid_argument);
+  per.back() = 1.0;
+  LinearCosts ok(base, per, cap, 1);
+  std::vector<double> wh(costs.users(), 1.0);
+  std::vector<double> bad = wh;
+  bad.back() = std::nan("");
+  EXPECT_THROW(ok.set_energy(wh, wh, bad), std::invalid_argument);
 }
 
 }  // namespace
