@@ -179,13 +179,11 @@ void Coordinator::worker_loop(std::size_t worker_index) {
         done = out.done;
         if (done) result_json = train_result_json(spec.train, out.result);
       } else {
-        FleetStepOutcome out =
-            run_fleet_step(spec.fleet, ckpt, trace, round, &chaos_);
+        FleetStepOutcome out = run_fleet_step(spec.fleet, ckpt, trace, round,
+                                              registry_.write_options());
         completed = out.rounds_completed;
         done = out.done;
-        if (done) {
-          result_json = fleet_result_json(spec.fleet, load_fleet_summaries(ckpt));
-        }
+        if (done) result_json = fleet_result_json(spec.fleet, out.summaries);
       }
     } catch (const chaos::ChaosCrash&) {
       crashed = true;

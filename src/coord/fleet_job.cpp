@@ -1,12 +1,9 @@
 #include "coord/fleet_job.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "coord/chaos/chaos.hpp"
 #include "device/model_desc.hpp"
 #include "fl/checkpoint/codec.hpp"
 #include "fleet/event_sim.hpp"
@@ -20,136 +17,88 @@ namespace fc = fl::checkpoint;
 namespace {
 
 constexpr std::uint32_t kFleetMagic = 0x46534631;  // "FSF1"
-constexpr std::uint32_t kFleetVersion = 1;
+constexpr std::uint32_t kFleetVersion = 2;
 
+/// An FSF1 v2 checkpoint as loaded: the two columns a round mutates, the
+/// per-round summaries and the trace prefix. The run identity is checked
+/// against the spec while loading and not kept.
 struct FleetCheckpoint {
   std::size_t rounds_completed = 0;
-  fleet::FleetState state;
+  std::vector<double> battery_soc;
+  std::vector<std::uint8_t> alive;
   std::vector<FleetRoundSummary> summaries;
   std::string trace_prefix;
   std::size_t trace_events = 0;
 };
 
-void put_summary(fc::PayloadWriter& out, const FleetRoundSummary& s) {
-  out.put_u64(s.round);
-  out.put_u64(s.participants);
-  out.put_u64(s.completed);
-  out.put_u64(s.dropped_crash);
-  out.put_u64(s.dropped_deadline);
-  out.put_u64(s.dropped_stale);
-  out.put_u64(s.battery_deaths);
-  out.put_u64(s.survivor_shards);
-  out.put(s.threshold_s);
-  out.put(s.makespan_s);
-  out.put(s.energy_wh);
-}
+// Summaries travel as raw records (put_vec / get_vec), so the struct must
+// have no padding.
+static_assert(sizeof(FleetRoundSummary) ==
+              8 * sizeof(std::size_t) + 3 * sizeof(double));
 
-FleetRoundSummary get_summary(fc::PayloadReader& in) {
-  FleetRoundSummary s;
-  s.round = static_cast<std::size_t>(in.get_u64());
-  s.participants = static_cast<std::size_t>(in.get_u64());
-  s.completed = static_cast<std::size_t>(in.get_u64());
-  s.dropped_crash = static_cast<std::size_t>(in.get_u64());
-  s.dropped_deadline = static_cast<std::size_t>(in.get_u64());
-  s.dropped_stale = static_cast<std::size_t>(in.get_u64());
-  s.battery_deaths = static_cast<std::size_t>(in.get_u64());
-  s.survivor_shards = static_cast<std::size_t>(in.get_u64());
-  s.threshold_s = in.get<double>();
-  s.makespan_s = in.get<double>();
-  s.energy_wh = in.get<double>();
-  return s;
-}
-
-void save_fleet_checkpoint(const FleetCheckpoint& ckpt, const std::string& path,
-                           chaos::ChaosInjector* chaos) {
+/// Persist the step's resume point: the run identity, `state`'s mutable
+/// columns and `ckpt`'s summaries and trace prefix (its columns are unused).
+void save_fleet_checkpoint(const FleetRunSpec& spec, const FleetCheckpoint& ckpt,
+                           const fleet::FleetState& state, const std::string& path,
+                           const AtomicWriteOptions& options) {
   fc::PayloadWriter out;
   out.put_u64(ckpt.rounds_completed);
+  out.put_u64(spec.fleet_size);
+  out.put_u64(spec.seed);
+  out.put_bytes(spec.mix);
+  out.put_bytes(spec.model);
+  out.put_vec(state.battery_soc);
+  out.put_vec(state.alive);
 
-  const fleet::FleetState& s = ckpt.state;
-  out.put_vec(s.device_model);
-  out.put_vec(s.network);
-  out.put_vec(s.speed_factor);
-  out.put_vec(s.base_s);
-  out.put_vec(s.per_sample_s);
-  out.put_vec(s.comm_s);
-  out.put_vec(s.battery_soc);
-  out.put_vec(s.battery_capacity_wh);
-  out.put_vec(s.train_power_w);
-  out.put_vec(s.comm_energy_wh);
-  out.put_vec(s.temp_c);
-  out.put_vec(s.capacity_shards);
-  out.put_vec(s.alive);
-
-  out.put_u64(ckpt.summaries.size());
-  for (const FleetRoundSummary& r : ckpt.summaries) put_summary(out, r);
-
+  out.put_vec(ckpt.summaries);
   out.put_u64(ckpt.trace_events);
   out.put_bytes(ckpt.trace_prefix);
-
-  const std::uint64_t op = chaos != nullptr ? chaos->begin_write() : 0;
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kBeforeTmp, path);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    const std::filesystem::path p(tmp);
-    if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) throw std::runtime_error("fleet checkpoint: cannot open " + tmp);
-    const std::string sealed = fc::seal(kFleetMagic, kFleetVersion, out.bytes());
-    file.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
-    if (!file) throw std::runtime_error("fleet checkpoint: write failed for " + tmp);
-  }
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterTmp, path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("fleet checkpoint: cannot rename " + tmp + " -> " +
-                             path + ": " + ec.message());
-  }
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterRename, path);
-  }
+  write_file_atomic(path, fc::seal(kFleetMagic, kFleetVersion, out.bytes()), options);
 }
 
-FleetCheckpoint load_fleet_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fleet checkpoint: cannot open " + path);
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error("fleet checkpoint: read failed for " + path);
-  const std::string_view body =
-      fc::open(kFleetMagic, kFleetVersion, file, "fleet checkpoint: " + path,
-               "fedsched fleet checkpoint");
-  fc::PayloadReader payload(body, "fleet checkpoint: " + path);
+/// Load the checkpoint at `path` and check that it belongs to `spec`: the
+/// same identity and one battery / alive entry per client.
+FleetCheckpoint load_fleet_checkpoint(const std::string& path,
+                                      const FleetRunSpec& spec) {
+  const std::string context = "fleet checkpoint: " + path;
+  const std::string file = fc::read_whole_file(path, "fleet checkpoint");
+  const std::string_view body = fc::open(kFleetMagic, kFleetVersion, file, context,
+                                         "fedsched fleet checkpoint");
+  fc::PayloadReader payload(body, context);
 
   FleetCheckpoint ckpt;
   ckpt.rounds_completed = static_cast<std::size_t>(payload.get_u64());
+  const auto expect = [&](bool same, const std::string& what) {
+    if (!same) {
+      throw std::runtime_error(context + ": belongs to a run with a different " +
+                               what + " than the spec");
+    }
+  };
+  expect(payload.get_u64() == spec.fleet_size, "fleet_size");
+  expect(payload.get_u64() == spec.seed, "seed");
+  expect(payload.get_bytes() == spec.mix, "mix");
+  expect(payload.get_bytes() == spec.model, "model");
+  ckpt.battery_soc = payload.get_vec<double>();
+  ckpt.alive = payload.get_vec<std::uint8_t>();
+  if (ckpt.battery_soc.size() != spec.fleet_size ||
+      ckpt.alive.size() != spec.fleet_size) {
+    throw std::runtime_error(context + ": column length does not match fleet_size " +
+                             std::to_string(spec.fleet_size));
+  }
 
-  fleet::FleetState& s = ckpt.state;
-  s.device_model = payload.get_vec<std::uint8_t>();
-  s.network = payload.get_vec<std::uint8_t>();
-  s.speed_factor = payload.get_vec<double>();
-  s.base_s = payload.get_vec<double>();
-  s.per_sample_s = payload.get_vec<double>();
-  s.comm_s = payload.get_vec<double>();
-  s.battery_soc = payload.get_vec<double>();
-  s.battery_capacity_wh = payload.get_vec<double>();
-  s.train_power_w = payload.get_vec<double>();
-  s.comm_energy_wh = payload.get_vec<double>();
-  s.temp_c = payload.get_vec<double>();
-  s.capacity_shards = payload.get_vec<std::uint32_t>();
-  s.alive = payload.get_vec<std::uint8_t>();
-
-  ckpt.summaries.resize(payload.get_count(1));
-  for (FleetRoundSummary& r : ckpt.summaries) r = get_summary(payload);
-
+  ckpt.summaries = payload.get_vec<FleetRoundSummary>();
   ckpt.trace_events = static_cast<std::size_t>(payload.get_u64());
   ckpt.trace_prefix = payload.get_bytes();
   payload.expect_exhausted();
   return ckpt;
+}
+
+FleetStepOutcome outcome(const FleetRunSpec& spec, FleetCheckpoint& ckpt) {
+  FleetStepOutcome out;
+  out.rounds_completed = ckpt.rounds_completed;
+  out.done = ckpt.rounds_completed == spec.rounds;
+  if (out.done) out.summaries = std::move(ckpt.summaries);
+  return out;
 }
 
 }  // namespace
@@ -177,40 +126,44 @@ FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
                                 const std::string& ckpt_path,
                                 const std::string& trace_path,
                                 std::size_t completed_rounds,
-                                chaos::ChaosInjector* chaos) {
+                                const AtomicWriteOptions& write_options) {
   if (completed_rounds >= spec.rounds) {
     throw std::runtime_error("fleet job: run already complete");
   }
-  if (chaos != nullptr && !chaos->enabled()) chaos = nullptr;
-  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
-  trace.enable_capture();
-
   FleetCheckpoint ckpt;
-  if (completed_rounds == 0) {
-    const device::ModelDesc& desc = spec.model == "VGG6" ? device::vgg6_desc()
-                                                         : device::lenet_desc();
-    const fleet::FleetMix mix =
-        spec.mix.empty() ? fleet::FleetMix{} : fleet::parse_fleet_mix(spec.mix);
-    ckpt.state =
-        fleet::FleetGenerator(mix, desc, spec.seed).generate(spec.fleet_size, &trace);
-  } else {
-    ckpt = load_fleet_checkpoint(ckpt_path);
-    if (ckpt.rounds_completed == completed_rounds + 1) {
-      // Torn recovery state: a crash between the checkpoint rename and the
-      // meta write lost the step's acknowledgement, but the checkpoint
-      // already holds the completed round. Replay its trace and report the
-      // step done instead of re-simulating (which would double-apply it).
-      trace.write_raw(ckpt.trace_prefix, ckpt.trace_events);
-      trace.flush();
-      FleetStepOutcome replayed;
-      replayed.rounds_completed = ckpt.rounds_completed;
-      replayed.done = ckpt.rounds_completed == spec.rounds;
-      return replayed;
-    }
-    if (ckpt.rounds_completed != completed_rounds) {
+  if (completed_rounds > 0) {
+    ckpt = load_fleet_checkpoint(ckpt_path, spec);
+    if (ckpt.rounds_completed != completed_rounds &&
+        ckpt.rounds_completed != completed_rounds + 1) {
       throw std::runtime_error("fleet job: checkpoint round mismatch");
     }
-    trace.write_raw(ckpt.trace_prefix, ckpt.trace_events);
+  }
+  obs::TraceWriter trace = obs::TraceWriter::to_file(trace_path);
+  trace.enable_capture();
+  trace.write_raw(ckpt.trace_prefix, ckpt.trace_events);
+  if (ckpt.rounds_completed == completed_rounds + 1) {
+    // Torn recovery state: a crash between the checkpoint rename and the
+    // meta write lost the step's acknowledgement, but the checkpoint
+    // already holds the completed round. Replay its trace and report the
+    // step done instead of re-simulating (which would double-apply it).
+    trace.flush();
+    return outcome(spec, ckpt);
+  }
+
+  // The static columns are a pure function of (seed, mix, model, client
+  // index), so every step regenerates them; only the first step traces the
+  // fleet_generate event (later steps replay it with the prefix). Resumed
+  // steps then restore the two columns the earlier rounds mutated.
+  const device::ModelDesc& desc = spec.model == "VGG6" ? device::vgg6_desc()
+                                                       : device::lenet_desc();
+  const fleet::FleetMix mix =
+      spec.mix.empty() ? fleet::FleetMix{} : fleet::parse_fleet_mix(spec.mix);
+  fleet::FleetState state = fleet::FleetGenerator(mix, desc, spec.seed)
+                                .generate(spec.fleet_size,
+                                          completed_rounds == 0 ? &trace : nullptr);
+  if (completed_rounds > 0) {
+    state.battery_soc = std::move(ckpt.battery_soc);
+    state.alive = std::move(ckpt.alive);
   }
 
   fleet::FleetSimConfig config;
@@ -220,7 +173,7 @@ FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
   config.battery_floor_soc = spec.battery_floor;
   config.parallelism = spec.parallelism;
   config.seed = spec.seed;
-  fleet::FleetSimulator sim(std::move(ckpt.state), config);
+  fleet::FleetSimulator sim(std::move(state), config);
 
   // Replan every round — battery deaths shrink the schedulable fleet — then
   // simulate it, exactly the `fedsched_cli fleet` loop body.
@@ -246,20 +199,11 @@ FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
   summary.energy_wh = r.energy_wh;
   ckpt.summaries.push_back(summary);
 
-  ckpt.state = sim.state();
   ckpt.rounds_completed = completed_rounds + 1;
   ckpt.trace_prefix = trace.captured();
   ckpt.trace_events = trace.captured_events();
-  save_fleet_checkpoint(ckpt, ckpt_path, chaos);
-
-  FleetStepOutcome out;
-  out.rounds_completed = ckpt.rounds_completed;
-  out.done = ckpt.rounds_completed == spec.rounds;
-  return out;
-}
-
-std::vector<FleetRoundSummary> load_fleet_summaries(const std::string& ckpt_path) {
-  return load_fleet_checkpoint(ckpt_path).summaries;
+  save_fleet_checkpoint(spec, ckpt, sim.state(), ckpt_path, write_options);
+  return outcome(spec, ckpt);
 }
 
 std::string fleet_result_json(const FleetRunSpec& spec,

@@ -4,29 +4,38 @@
 // A fleet run replans and simulates one round per step, exactly as
 // `fedsched_cli fleet` does in its loop: linear_costs over the surviving
 // fleet, a bucketed schedule (emitting its sched_* trace event), then
-// FleetSimulator::run_round (emitting fleet_round). Between steps the
-// complete mutable state — the FleetState SoA, the per-round summaries, and
-// the captured trace prefix — is persisted in an FSF1 checkpoint built on
-// the same sealed-payload codec as the FSC1 run checkpoint, so a coordinator
-// restart resumes the run bit-identically and the final trace file is
-// byte-identical to the one-shot CLI run's (fleet generation happens inside
-// the first step with the same seed, so even the fleet_generate event
-// matches).
+// FleetSimulator::run_round (emitting fleet_round). Between steps the run
+// persists an FSF1 version 2 checkpoint, built on the same sealed-payload
+// codec as the FSC1 run checkpoint. Its payload holds
+//
+//   rounds_completed
+//   run identity: fleet_size, seed, mix, model
+//   battery_soc (f64) and alive (u8), one entry per client — the only
+//     columns a round mutates (9 bytes per client)
+//   the per-round summaries
+//   the captured trace prefix and its event count
+//
+// The other FleetState columns are not stored: FleetGenerator makes client
+// j a pure function of (seed, j) for a given mix and model, so every step
+// regenerates them from the identity and then restores the two mutable
+// columns. A checkpoint whose identity or column length differs from the
+// spec, and any FSF1 version 1 file, is rejected with std::runtime_error.
+// A coordinator restart therefore resumes the run bit-identically, and the
+// final trace file is byte-identical to the one-shot CLI run's (fleet
+// generation is traced inside the first step with the same seed, so even
+// the fleet_generate event matches).
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "coord/registry.hpp"
 #include "coord/spec.hpp"
 #include "obs/trace.hpp"
 #include "sched/linear_costs.hpp"
 #include "sched/types.hpp"
 
 namespace fedsched::coord {
-
-namespace chaos {
-class ChaosInjector;
-}  // namespace chaos
 
 /// What the coordinator reports per simulated fleet round.
 struct FleetRoundSummary {
@@ -58,23 +67,18 @@ struct FleetPlan {
 struct FleetStepOutcome {
   std::size_t rounds_completed = 0;
   bool done = false;
+  std::vector<FleetRoundSummary> summaries;  // every round's, once done
 };
 
 /// Run one round of `spec`. `completed_rounds` must match the checkpoint at
 /// `ckpt_path` (0 = generate the fleet and start fresh). The trace file at
 /// `trace_path` is rewritten each step from the captured prefix; the
-/// checkpoint is written to a temp file and renamed into place. A non-null
-/// enabled `chaos` injector threads that write through its crash points.
-[[nodiscard]] FleetStepOutcome run_fleet_step(const FleetRunSpec& spec,
-                                              const std::string& ckpt_path,
-                                              const std::string& trace_path,
-                                              std::size_t completed_rounds,
-                                              chaos::ChaosInjector* chaos = nullptr);
-
-/// Per-round summaries stored in the checkpoint at `ckpt_path` (the fleet
-/// run's result payload once the run is done).
-[[nodiscard]] std::vector<FleetRoundSummary> load_fleet_summaries(
-    const std::string& ckpt_path);
+/// checkpoint goes through write_file_atomic with `write_options` (the
+/// registry's durable + chaos settings in the coordinator).
+[[nodiscard]] FleetStepOutcome run_fleet_step(
+    const FleetRunSpec& spec, const std::string& ckpt_path,
+    const std::string& trace_path, std::size_t completed_rounds,
+    const AtomicWriteOptions& write_options = {});
 
 /// Summaries rendered as the coordinator's result.json document.
 [[nodiscard]] std::string fleet_result_json(

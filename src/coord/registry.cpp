@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -112,12 +111,7 @@ void write_file_atomic(const std::string& path, const std::string& bytes,
 }
 
 std::string read_file(const std::string& path, const std::string& context) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(context + ": cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error(context + ": read failed for " + path);
-  return bytes;
+  return fl::checkpoint::read_whole_file(path, context);
 }
 
 void validate_sealed_artifact(const std::string& bytes,

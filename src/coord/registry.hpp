@@ -113,11 +113,13 @@ class RunRegistry {
   QuarantineRecord quarantine_run(const std::string& id,
                                   const std::string& reason);
 
- private:
+  /// The durable + chaos options every registry write uses; run steps pass
+  /// them on for their checkpoint writes.
   [[nodiscard]] AtomicWriteOptions write_options() const noexcept {
     return {durable_, chaos_};
   }
 
+ private:
   std::string root_;
   bool durable_ = false;
   chaos::ChaosInjector* chaos_ = nullptr;
@@ -129,7 +131,8 @@ class RunRegistry {
 /// injector's before-tmp / after-tmp / after-rename crash points.
 void write_file_atomic(const std::string& path, const std::string& bytes,
                        const AtomicWriteOptions& options = {});
-/// Whole-file read; throws std::runtime_error when missing/unreadable.
+/// Whole-file read (fl::checkpoint::read_whole_file); throws
+/// std::runtime_error when missing/unreadable.
 [[nodiscard]] std::string read_file(const std::string& path,
                                     const std::string& context);
 /// Validate a sealed artifact's generic framing (header length, declared

@@ -1,5 +1,11 @@
 #include "fl/checkpoint/codec.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+
 namespace fedsched::fl::checkpoint {
 
 namespace {
@@ -59,6 +65,28 @@ std::string_view open(std::uint32_t magic, std::uint32_t version,
     throw std::runtime_error(context + ": checksum mismatch");
   }
   return body;
+}
+
+std::string read_whole_file(const std::string& path, const std::string& context) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error(context + ": cannot open " + path);
+  }
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (off != bytes.size()) {
+    throw std::runtime_error(context + ": read failed for " + path);
+  }
+  return bytes;
 }
 
 }  // namespace fedsched::fl::checkpoint

@@ -50,6 +50,13 @@ inline constexpr std::size_t kSealedHeaderSize =
                                     const std::string& context,
                                     const std::string& artifact);
 
+/// The whole file at `path`: a buffer sized from the file's length, filled
+/// by read(2) (one call unless the kernel returns a short read). Throws
+/// std::runtime_error "<context>: cannot open <path>" when the file cannot be
+/// opened and "<context>: read failed for <path>" on a short or failed read.
+[[nodiscard]] std::string read_whole_file(const std::string& path,
+                                          const std::string& context);
+
 /// Little-endian raw scalar serialization into an in-memory buffer (matches
 /// nn/serialize.cpp; the testbed is homogeneous x86-64/aarch64-LE, and the
 /// magic word would read back-to-front on a BE host anyway).
