@@ -174,7 +174,7 @@ void Coordinator::worker_loop(std::size_t worker_index) {
       const std::string trace = registry_.trace_path(id);
       if (spec.kind == RunKind::kTrain) {
         TrainStepOutcome out =
-            run_train_step(spec.train, ckpt, trace, round, &chaos_);
+            run_train_step(spec.train, ckpt, trace, round, registry_.write_options());
         completed = out.rounds_completed;
         done = out.done;
         if (done) result_json = train_result_json(spec.train, out.result);

@@ -24,8 +24,8 @@ constexpr std::uint32_t kFleetVersion = 2;
 /// against the spec while loading and not kept.
 struct FleetCheckpoint {
   std::size_t rounds_completed = 0;
-  std::vector<double> battery_soc;
-  std::vector<std::uint8_t> alive;
+  common::Column<double> battery_soc;
+  common::Column<std::uint8_t> alive;
   std::vector<FleetRoundSummary> summaries;
   std::string trace_prefix;
   std::size_t trace_events = 0;
@@ -78,8 +78,8 @@ FleetCheckpoint load_fleet_checkpoint(const std::string& path,
   expect(payload.get_u64() == spec.seed, "seed");
   expect(payload.get_bytes() == spec.mix, "mix");
   expect(payload.get_bytes() == spec.model, "model");
-  ckpt.battery_soc = payload.get_vec<double>();
-  ckpt.alive = payload.get_vec<std::uint8_t>();
+  ckpt.battery_soc = payload.get_vec<double, common::DefaultInitAllocator<double>>();
+  ckpt.alive = payload.get_vec<std::uint8_t, common::DefaultInitAllocator<std::uint8_t>>();
   if (ckpt.battery_soc.size() != spec.fleet_size ||
       ckpt.alive.size() != spec.fleet_size) {
     throw std::runtime_error(context + ": column length does not match fleet_size " +

@@ -27,24 +27,11 @@ namespace {
                            std::strerror(errno));
 }
 
-// POSIX write path used in durable mode so the temp file's bytes can be
-// fsync'd before the rename makes them visible.
-void write_bytes_durable(const std::string& path, const std::string& bytes) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+// Durable mode fsyncs the finished temp file before the rename makes its
+// bytes visible.
+void fsync_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) sys_fail("cannot open " + path);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      sys_fail("write failed for " + path);
-    }
-    off += static_cast<std::size_t>(n);
-  }
   if (::fsync(fd) != 0) {
     const int saved = errno;
     ::close(fd);
@@ -77,8 +64,9 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 }  // namespace
 
-void write_file_atomic(const std::string& path, const std::string& bytes,
-                       const AtomicWriteOptions& options) {
+void replace_file_atomic(const std::string& path,
+                         const std::function<void(const std::string& tmp)>& write_tmp,
+                         const AtomicWriteOptions& options) {
   chaos::ChaosInjector* chaos =
       (options.chaos != nullptr && options.chaos->enabled()) ? options.chaos
                                                              : nullptr;
@@ -87,14 +75,8 @@ void write_file_atomic(const std::string& path, const std::string& bytes,
     chaos->crash_point(op, chaos::CrashPhase::kBeforeTmp, path);
   }
   const std::string tmp = path + ".tmp";
-  if (options.durable) {
-    write_bytes_durable(tmp, bytes);
-  } else {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("registry: cannot open " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw std::runtime_error("registry: write failed for " + tmp);
-  }
+  write_tmp(tmp);
+  if (options.durable) fsync_file(tmp);
   if (chaos != nullptr) {
     chaos->crash_point(op, chaos::CrashPhase::kAfterTmp, path);
   }
@@ -108,6 +90,20 @@ void write_file_atomic(const std::string& path, const std::string& bytes,
   if (chaos != nullptr) {
     chaos->crash_point(op, chaos::CrashPhase::kAfterRename, path);
   }
+}
+
+void write_file_atomic(const std::string& path, const std::string& bytes,
+                       const AtomicWriteOptions& options) {
+  replace_file_atomic(
+      path,
+      [&](const std::string& tmp) {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out) throw std::runtime_error("registry: cannot open " + tmp);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.close();
+        if (!out) throw std::runtime_error("registry: write failed for " + tmp);
+      },
+      options);
 }
 
 std::string read_file(const std::string& path, const std::string& context) {

@@ -24,6 +24,7 @@
 // swept at scan time.
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,11 @@ class RunRegistry {
 /// injector's before-tmp / after-tmp / after-rename crash points.
 void write_file_atomic(const std::string& path, const std::string& bytes,
                        const AtomicWriteOptions& options = {});
+/// The same protocol for a writer that fills the temp file itself:
+/// write_tmp(path + ".tmp") runs between the before-tmp and after-tmp points.
+void replace_file_atomic(const std::string& path,
+                         const std::function<void(const std::string& tmp)>& write_tmp,
+                         const AtomicWriteOptions& options = {});
 /// Whole-file read (fl::checkpoint::read_whole_file); throws
 /// std::runtime_error when missing/unreadable.
 [[nodiscard]] std::string read_file(const std::string& path,

@@ -1,11 +1,8 @@
 #include "coord/train_job.hpp"
 
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "coord/chaos/chaos.hpp"
 #include "core/experiment.hpp"
 #include "data/synth.hpp"
 #include "fl/checkpoint/checkpoint.hpp"
@@ -21,15 +18,6 @@ sched::Baseline baseline_of(const std::string& name) {
   if (name == "prop") return sched::Baseline::kProportional;
   if (name == "random") return sched::Baseline::kRandom;
   throw std::runtime_error("train job: unknown baseline policy '" + name + "'");
-}
-
-void rename_over(const std::string& from, const std::string& to) {
-  std::error_code ec;
-  std::filesystem::rename(from, to, ec);
-  if (ec) {
-    throw std::runtime_error("train job: cannot rename " + from + " -> " + to +
-                             ": " + ec.message());
-  }
 }
 
 }  // namespace
@@ -81,11 +69,10 @@ TrainStepOutcome run_train_step(const TrainRunSpec& spec,
                                 const std::string& ckpt_path,
                                 const std::string& trace_path,
                                 std::size_t completed_rounds,
-                                chaos::ChaosInjector* chaos) {
+                                const AtomicWriteOptions& write_options) {
   if (completed_rounds >= spec.rounds) {
     throw std::runtime_error("train job: run already complete");
   }
-  if (chaos != nullptr && !chaos->enabled()) chaos = nullptr;
 
   // Torn recovery state: a crash between the checkpoint rename and the meta
   // write leaves the checkpoint one round ahead of `completed_rounds`. The
@@ -143,23 +130,18 @@ TrainStepOutcome run_train_step(const TrainRunSpec& spec,
 
   // The runner itself writes the temp checkpoint during run(), so this step's
   // write op spans it: before-tmp fires before any byte exists, after-tmp
-  // once the temp file is complete but not yet visible at ckpt_path.
-  const std::uint64_t op = chaos != nullptr ? chaos->begin_write() : 0;
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kBeforeTmp, ckpt_path);
-  }
-  fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
-                          job.phones, device::NetworkType::kWifi, job.config);
+  // once the temp file is complete (and fsync'd under durable writes) but not
+  // yet visible at ckpt_path. The step's checkpoint (halt or final-round
+  // cadence save) then lands atomically.
   TrainStepOutcome out;
-  out.result = runner.run(job.partition);
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterTmp, ckpt_path);
-  }
-  // The step's checkpoint (halt or final-round cadence save) lands atomically.
-  rename_over(job.config.checkpoint.path, ckpt_path);
-  if (chaos != nullptr) {
-    chaos->crash_point(op, chaos::CrashPhase::kAfterRename, ckpt_path);
-  }
+  replace_file_atomic(
+      ckpt_path,
+      [&](const std::string&) {
+        fl::FedAvgRunner runner(job.train, job.test, job.model_spec, job.desc,
+                                job.phones, device::NetworkType::kWifi, job.config);
+        out.result = runner.run(job.partition);
+      },
+      write_options);
   out.done = !out.result.halted;
   out.rounds_completed = out.done ? spec.rounds : next;
   return out;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "coord/registry.hpp"
 #include "coord/spec.hpp"
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
@@ -33,10 +34,6 @@
 #include "sched/types.hpp"
 
 namespace fedsched::coord {
-
-namespace chaos {
-class ChaosInjector;
-}  // namespace chaos
 
 /// Everything a FedAvgRunner needs, fully deterministic in the spec.
 struct TrainJob {
@@ -71,14 +68,12 @@ struct TrainStepOutcome {
 /// trace file at `trace_path` is rewritten each step via the checkpoint's
 /// captured prefix, so after the final step it is byte-identical to an
 /// uninterrupted run's. The checkpoint is written to a temp file and renamed
-/// into place, so a kill mid-step can never leave a corrupt resume point.
-/// A non-null enabled `chaos` injector threads the checkpoint write through
-/// its before-tmp / after-tmp / after-rename crash points.
-[[nodiscard]] TrainStepOutcome run_train_step(const TrainRunSpec& spec,
-                                              const std::string& ckpt_path,
-                                              const std::string& trace_path,
-                                              std::size_t completed_rounds,
-                                              chaos::ChaosInjector* chaos = nullptr);
+/// into place by replace_file_atomic under `write_options` (durable fsyncs,
+/// chaos crash points), so a kill mid-step never leaves a corrupt resume point.
+[[nodiscard]] TrainStepOutcome run_train_step(
+    const TrainRunSpec& spec, const std::string& ckpt_path,
+    const std::string& trace_path, std::size_t completed_rounds,
+    const AtomicWriteOptions& write_options = {});
 
 /// The complete run in one call with the same cadence (checkpoint every
 /// round) — the reference the stepped execution must match byte-for-byte.

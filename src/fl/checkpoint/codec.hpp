@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -71,8 +72,8 @@ class PayloadWriter {
   void put_u64(std::uint64_t v) { put(v); }
   void put_bool(bool v) { put(static_cast<std::uint8_t>(v ? 1 : 0)); }
 
-  template <typename T>
-  void put_vec(const std::vector<T>& v) {
+  template <typename T, typename Alloc>
+  void put_vec(const std::vector<T, Alloc>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put_u64(v.size());
     if (!v.empty()) {
@@ -121,10 +122,10 @@ class PayloadReader {
     return static_cast<std::size_t>(n);
   }
 
-  template <typename T>
-  std::vector<T> get_vec() {
+  template <typename T, typename Alloc = std::allocator<T>>
+  std::vector<T, Alloc> get_vec() {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> v(get_count(sizeof(T)));
+    std::vector<T, Alloc> v(get_count(sizeof(T)));
     if (!v.empty()) {
       std::memcpy(v.data(), need(v.size() * sizeof(T)), v.size() * sizeof(T));
     }

@@ -119,8 +119,8 @@ struct DynEvent {
 struct DynamicsSnapshot {
   double now_s = 0.0;
   std::vector<std::uint8_t> departed;
-  std::vector<double> avail_phase;
-  std::vector<double> charge_phase;
+  common::Column<double> avail_phase;
+  common::Column<double> charge_phase;
 };
 
 class ClientDynamics {
@@ -195,8 +195,8 @@ class ClientDynamics {
   common::Rng root_;
   double now_s_ = 0.0;
   std::vector<std::uint8_t> departed_;
-  std::vector<double> avail_phase_;
-  std::vector<double> charge_phase_;
+  common::Column<double> avail_phase_;
+  common::Column<double> charge_phase_;
 };
 
 /// Dynamics-aware scheduler view: same affine costs and energy model as

@@ -17,17 +17,20 @@ namespace fedsched::fleet {
 
 namespace {
 
+/// The spec-table name of phone i with separators stripped and lowercased
+/// ("Nexus 6P" -> "nexus6p"), so CLI mixes stay shell-friendly.
+std::string folded_name(std::size_t i) {
+  std::string folded;
+  for (char c : std::string(device::model_name(device::kAllPhoneModels[i]))) {
+    if (c == ' ' || c == '-' || c == '_') continue;
+    folded.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
+  return folded;
+}
+
 std::size_t phone_index_by_name(const std::string& name) {
   for (std::size_t i = 0; i < kPhoneModelCount; ++i) {
-    std::string canonical = device::model_name(device::kAllPhoneModels[i]);
-    // Accept the spec-table name with separators stripped and lowercased
-    // ("Nexus 6P" -> "nexus6p") so CLI mixes stay shell-friendly.
-    std::string folded;
-    for (char c : canonical) {
-      if (c == ' ' || c == '-' || c == '_') continue;
-      folded.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    if (folded == name) return i;
+    if (folded_name(i) == name) return i;
   }
   throw std::invalid_argument("parse_fleet_mix: unknown device '" + name + "'");
 }
@@ -140,6 +143,8 @@ FleetGenerator::FleetGenerator(FleetMix mix, device::ModelDesc model,
 void FleetGenerator::extend(FleetState& state, std::size_t target_n) const {
   const std::size_t start = state.size();
   if (target_n <= start) return;
+  // Column resizes leave the new rows untouched: the chunked pass below
+  // writes every column of every new row, so the pages fault in on the pool.
   state.device_model.resize(target_n);
   state.network.resize(target_n);
   state.speed_factor.resize(target_n);
@@ -202,13 +207,7 @@ FleetState FleetGenerator::generate(std::size_t n, obs::TraceWriter* trace) cons
     common::JsonObject ev;
     ev.field("ev", "fleet_generate").field("clients", n).field("lte", lte_count);
     for (std::size_t i = 0; i < kPhoneModelCount; ++i) {
-      std::string folded;
-      for (char c : std::string(device::model_name(device::kAllPhoneModels[i]))) {
-        if (c == ' ' || c == '-' || c == '_') continue;
-        folded.push_back(
-            static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-      }
-      ev.field(folded.c_str(), model_counts[i]);
+      ev.field(folded_name(i).c_str(), model_counts[i]);
     }
     trace->write(ev);
   }
@@ -222,32 +221,21 @@ namespace {
 template <class Admit>
 sched::LinearCosts cost_view(const FleetState& state, std::size_t shard_size,
                              double battery_floor_soc, const Admit& admit) {
-  const std::size_t n = state.size();
-  std::vector<double> base(n);
-  std::vector<double> per_shard(n);
-  std::vector<std::uint32_t> capacity(n);
-  std::vector<double> base_wh(n);
-  std::vector<double> per_shard_wh(n);
-  std::vector<double> budget_wh(n);
-  common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      base[j] = state.base_s[j] + state.comm_s[j];
-      per_shard[j] = state.per_sample_s[j] * static_cast<double>(shard_size);
-      capacity[j] = admit(j) ? state.capacity_shards[j] : 0;
-      // Mirrors the simulator's drain rule exactly: training power over the
-      // compute span plus the per-round exchange energy.
-      base_wh[j] = state.train_power_w[j] * state.base_s[j] / 3600.0 +
-                   state.comm_energy_wh[j];
-      per_shard_wh[j] = state.train_power_w[j] * per_shard[j] / 3600.0;
-      budget_wh[j] = std::max(0.0, state.battery_soc[j] - battery_floor_soc) *
-                     state.battery_capacity_wh[j];
-    }
-  });
-  sched::LinearCosts costs(std::move(base), std::move(per_shard),
-                           std::move(capacity), shard_size);
-  costs.set_energy(std::move(base_wh), std::move(per_shard_wh),
-                   std::move(budget_wh));
-  return costs;
+  return sched::LinearCosts::from_rows(
+      state.size(), shard_size, /*with_energy=*/true, [&](std::size_t j) {
+        sched::CostRow row;
+        row.base_s = state.base_s[j] + state.comm_s[j];
+        row.per_shard_s = state.per_sample_s[j] * static_cast<double>(shard_size);
+        row.capacity = admit(j) ? state.capacity_shards[j] : 0;
+        // Mirrors the simulator's drain rule exactly: training power over the
+        // compute span plus the per-round exchange energy.
+        row.base_wh = state.train_power_w[j] * state.base_s[j] / 3600.0 +
+                      state.comm_energy_wh[j];
+        row.per_shard_wh = state.train_power_w[j] * row.per_shard_s / 3600.0;
+        row.budget_wh = std::max(0.0, state.battery_soc[j] - battery_floor_soc) *
+                        state.battery_capacity_wh[j];
+        return row;
+      });
 }
 
 }  // namespace

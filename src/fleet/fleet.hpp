@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/column.hpp"
 #include "common/rng.hpp"
 #include "device/model_desc.hpp"
 #include "device/spec.hpp"
@@ -62,19 +63,19 @@ struct FleetMix {
 /// Structure-of-arrays client state: vectors are index-aligned, one entry per
 /// client. `alive` is the health flag the simulator clears on battery death.
 struct FleetState {
-  std::vector<std::uint8_t> device_model;    // index into kAllPhoneModels
-  std::vector<std::uint8_t> network;         // 0 = WiFi, 1 = LTE
-  std::vector<double> speed_factor;          // lognormal jitter around 1
-  std::vector<double> base_s;                // per-round fixed compute seconds
-  std::vector<double> per_sample_s;          // marginal compute seconds/sample
-  std::vector<double> comm_s;                // per-round model exchange seconds
-  std::vector<double> battery_soc;           // state of charge in [0, 1]
-  std::vector<double> battery_capacity_wh;   // pack size
-  std::vector<double> train_power_w;         // sustained draw while training
-  std::vector<double> comm_energy_wh;        // per-round exchange energy
-  std::vector<double> temp_c;                // initial skin temperature
-  std::vector<std::uint32_t> capacity_shards;
-  std::vector<std::uint8_t> alive;           // 1 = schedulable
+  common::Column<std::uint8_t> device_model;   // index into kAllPhoneModels
+  common::Column<std::uint8_t> network;        // 0 = WiFi, 1 = LTE
+  common::Column<double> speed_factor;         // lognormal jitter around 1
+  common::Column<double> base_s;               // per-round fixed compute seconds
+  common::Column<double> per_sample_s;         // marginal compute seconds/sample
+  common::Column<double> comm_s;               // per-round model exchange seconds
+  common::Column<double> battery_soc;          // state of charge in [0, 1]
+  common::Column<double> battery_capacity_wh;  // pack size
+  common::Column<double> train_power_w;        // sustained draw while training
+  common::Column<double> comm_energy_wh;       // per-round exchange energy
+  common::Column<double> temp_c;               // initial skin temperature
+  common::Column<std::uint32_t> capacity_shards;
+  common::Column<std::uint8_t> alive;          // 1 = schedulable
 
   [[nodiscard]] std::size_t size() const noexcept { return device_model.size(); }
 };

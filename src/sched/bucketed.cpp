@@ -5,6 +5,7 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "sched/selection.hpp"
@@ -22,6 +23,21 @@ void validate(const LinearCosts& costs, std::size_t total_shards,
                                 ": user capacities cannot host the dataset");
   }
 }
+
+/// Smallest i in [lo, hi) with feasible(i), else hi, for a predicate that is
+/// monotone in i (false, ..., false, true, ...).
+template <class Feasible>
+std::size_t first_feasible(std::size_t lo, std::size_t hi, Feasible&& feasible) {
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (feasible(mid)) hi = mid;
+    else lo = mid + 1;
+  }
+  return lo;
+}
+
+/// The threshold search estimates budget sums from every 64th user.
+constexpr std::size_t kSampleStride = 64;
 
 }  // namespace
 
@@ -41,34 +57,66 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
     return i == buckets ? hi : lo + width * static_cast<double>(i);
   };
 
-  // Binary search the smallest feasible boundary. boundary(buckets) == hi is
-  // always feasible once total capacity hosts the dataset (every user's
-  // budget at hi is at least min(capacity_j, total_shards)), and the exact
-  // c* lies in (chosen - width, chosen], so the quantized threshold
-  // overshoots the optimum by less than one bucket width.
-  std::size_t lo_i = 0, hi_i = buckets;
-  std::size_t iterations = 0;
-  while (lo_i < hi_i) {
-    const std::size_t mid = lo_i + (hi_i - lo_i) / 2;
-    ++iterations;
-    if (costs.total_budget(boundary(mid), total_shards) >= total_shards) {
-      hi_i = mid;
-    } else {
-      lo_i = mid + 1;
-    }
+  // The threshold is the smallest boundary c whose budget sum T(c) (monotone
+  // in c) hosts the dataset; boundary(buckets) == hi is feasible unchecked,
+  // as every budget there is min(capacity_j, total_shards). c* lies in
+  // (chosen - width, chosen]. A binary search over T estimated from every
+  // kSampleStride-th user picks c; one fused pass computes T(c - 1) and T(c)
+  // while writing the budgets at boundary(c). Only if T(c) >= total_shards >
+  // T(c - 1) fails do exact total_budget probes finish on the side it rules
+  // out, followed by the assignment pass.
+  struct SampleRow { double base_s, per_shard_s; std::size_t capacity; };
+  std::vector<SampleRow> sample;
+  for (std::size_t j = 0; j < n; j += kSampleStride) {
+    sample.push_back({costs.base_seconds(j), costs.per_shard_seconds(j), costs.capacity(j)});
   }
-  const double threshold = boundary(lo_i);
+  const double sample_target = static_cast<double>(total_shards) *
+                               static_cast<double>(sample.size()) / static_cast<double>(n);
+  std::size_t c = first_feasible(0, buckets, [&](std::size_t i) {
+    std::size_t sum = 0;
+    for (const SampleRow& r : sample) {
+      sum += affine_budget(r.base_s, r.per_shard_s, r.capacity, boundary(i));
+    }
+    return static_cast<double>(sum) >= sample_target;
+  });
 
   BucketedLbapResult result;
   result.buckets = buckets;
   result.bucket_width = width;
-  result.search_iterations = iterations;
-  result.threshold_seconds = threshold;
   result.assignment.shard_size = costs.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n);
-  common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) shards[j] = costs.max_shards_within(j, threshold);
+  struct Bracket { std::size_t below = 0, at = 0; };  // T(c - 1), T(c)
+  const double below_s = c > 0 ? boundary(c - 1) : -1.0;  // costs are >= 0
+  const double at_s = boundary(c);
+  const Bracket t = common::reduce_chunks(
+      n, Bracket{},
+      [&](Bracket& b, std::size_t j) {
+        shards[j] = costs.max_shards_within(j, at_s);
+        b.at += shards[j];
+        b.below += costs.max_shards_within(j, below_s);
+      },
+      [](Bracket a, const Bracket& b) { return Bracket{a.below + b.below, a.at + b.at}; });
+  result.search_passes = 1;
+  if (t.below >= total_shards || (c < buckets && t.at < total_shards)) {
+    const auto feasible = [&](std::size_t i) {
+      ++result.search_passes;
+      return costs.total_budget(boundary(i), total_shards) >= total_shards;
+    };
+    c = t.below >= total_shards ? first_feasible(0, c - 1, feasible)
+                                : first_feasible(c + 1, buckets, feasible);
+    const double threshold = boundary(c);
+    common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t j = lo; j < hi; ++j) shards[j] = costs.max_shards_within(j, threshold);
+    });
+    ++result.search_passes;
+  }
+  result.threshold_seconds = boundary(c);
+  // The plain binary search over [0, buckets] probes a sequence fixed by its
+  // answer (T is monotone): recount its iterations.
+  (void)first_feasible(0, buckets, [&](std::size_t i) {
+    ++result.search_iterations;
+    return i >= c;
   });
 
   // Surplus trim, same rule (and code) as the exact path.

@@ -4,10 +4,10 @@
 // prohibitive. Costs are quantized into B histogram buckets spanning
 // [min single-shard cost, max full-row cost]:
 //
-//  - fed_lbap_bucketed binary-searches the B+1 bucket boundaries instead of
-//    the ns distinct matrix values; each feasibility probe is O(n) via
-//    LinearCosts' closed-form budgets, so planning runs in O(n log B) plus
-//    a surplus trim linear in the assigned shards (a weighted selection,
+//  - fed_lbap_bucketed searches the B+1 bucket boundaries instead of the ns
+//    distinct matrix values: one sampled bracket + one verified pass, O(n)
+//    expected (a failed bracket falls back to O(n) exact probes), then a
+//    surplus trim linear in the assigned shards (a weighted selection,
 //    sched/selection.hpp). The chosen threshold is the smallest feasible
 //    boundary, which is strictly less than c* + width, so the achieved
 //    makespan is within one bucket width of the exact optimum.
@@ -38,7 +38,10 @@ struct BucketedLbapResult {
   double threshold_seconds = 0.0;
   double bucket_width = 0.0;
   std::size_t buckets = 0;
+  /// Probes a plain binary search over the boundaries needs for this answer.
   std::size_t search_iterations = 0;
+  /// Full passes over the users the search made (1: the bracket held).
+  std::size_t search_passes = 0;
   std::size_t trimmed_shards = 0;
 };
 

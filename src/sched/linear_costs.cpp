@@ -1,72 +1,47 @@
 #include "sched/linear_costs.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <stdexcept>
-
-#include "common/thread_pool.hpp"
 
 namespace fedsched::sched {
 
-namespace {
-
-/// Largest k <= cap with base + per * k <= limit (0 if none). The division is
-/// only a first guess, nudged until the exact predicate holds under floating
-/// point, so budgets agree bitwise with a materialized row scan.
-std::size_t affine_within(double base, double per, std::size_t cap,
-                          double limit) noexcept {
-  const auto at = [&](std::size_t k) { return base + per * static_cast<double>(k); };
-  if (cap == 0 || at(1) > limit) return 0;
-  if (per <= 0.0) return cap;  // flat row: one shard within => all within
-  const double guess =
-      std::clamp(std::floor((limit - base) / per), 1.0, static_cast<double>(cap));
-  std::size_t k = static_cast<std::size_t>(guess);
-  while (k > 1 && at(k) > limit) --k;
-  while (k < cap && at(k + 1) <= limit) ++k;
-  return k;
-}
-
-}  // namespace
-
 LinearCosts::LinearCosts(std::vector<double> base_s, std::vector<double> per_shard_s,
                          std::vector<std::uint32_t> capacity_shards,
-                         std::size_t shard_size)
-    : base_s_(std::move(base_s)),
-      per_shard_s_(std::move(per_shard_s)),
-      capacity_(std::move(capacity_shards)),
-      shard_size_(shard_size),
-      lo_cost_(std::numeric_limits<double>::infinity()) {
-  if (base_s_.empty()) throw std::invalid_argument("LinearCosts: no users");
-  if (per_shard_s_.size() != base_s_.size() || capacity_.size() != base_s_.size()) {
+                         std::size_t shard_size) {
+  if (base_s.empty()) throw std::invalid_argument("LinearCosts: no users");
+  if (per_shard_s.size() != base_s.size() || capacity_shards.size() != base_s.size()) {
     throw std::invalid_argument("LinearCosts: misaligned vectors");
   }
-  if (shard_size_ == 0) throw std::invalid_argument("LinearCosts: zero shard size");
-  struct Part {
-    bool valid = true;
-    std::size_t capacity = 0;
-    double lo = std::numeric_limits<double>::infinity();
-  };
-  const Part all = common::reduce_chunks(
-      users(), Part{},
-      [&](Part& p, std::size_t j) {
-        p.valid &= base_s_[j] >= 0.0 && per_shard_s_[j] >= 0.0;
-        p.capacity += capacity_[j];
-        if (capacity_[j] > 0) p.lo = std::min(p.lo, cost(j, 1));
-      },
-      [](Part a, const Part& b) {
-        return Part{a.valid && b.valid, a.capacity + b.capacity, std::min(a.lo, b.lo)};
-      });
-  if (!all.valid) throw std::invalid_argument("LinearCosts: negative or NaN cost coefficients");
-  total_capacity_ = all.capacity;
-  lo_cost_ = all.lo;
-  if (total_capacity_ == 0) throw std::invalid_argument("LinearCosts: zero capacity");
+  *this = from_rows(base_s.size(), shard_size, false, [&](std::size_t j) {
+    return CostRow{base_s[j], per_shard_s[j], capacity_shards[j]};
+  });
 }
 
-std::size_t LinearCosts::max_shards_within(std::size_t user,
-                                           double threshold) const noexcept {
-  return affine_within(base_s_[user], per_shard_s_[user], capacity_[user], threshold);
+LinearCosts::LinearCosts(std::size_t users, std::size_t shard_size, bool with_energy)
+    : shard_size_(shard_size) {
+  if (users == 0) throw std::invalid_argument("LinearCosts: no users");
+  if (shard_size_ == 0) throw std::invalid_argument("LinearCosts: zero shard size");
+  base_s_.resize(users);
+  per_shard_s_.resize(users);
+  capacity_.resize(users);
+  if (!with_energy) return;
+  base_wh_.resize(users);
+  per_shard_wh_.resize(users);
+  budget_wh_.resize(users);
+}
+
+void LinearCosts::finish(const RowCheck& all) {
+  if (!all.costs_valid) {
+    throw std::invalid_argument("LinearCosts: negative or NaN cost coefficients");
+  }
+  if (all.capacity == 0) throw std::invalid_argument("LinearCosts: zero capacity");
+  if (!all.energy_valid) {
+    throw std::invalid_argument(
+        "LinearCosts::set_energy: negative or NaN energy coefficients");
+  }
+  total_capacity_ = all.capacity;
+  lo_cost_ = all.lo_cost;
 }
 
 std::size_t LinearCosts::total_budget(double threshold, std::size_t target) const {
@@ -83,28 +58,18 @@ std::size_t LinearCosts::total_budget(double threshold, std::size_t target) cons
 void LinearCosts::set_energy(std::vector<double> base_wh,
                              std::vector<double> per_shard_wh,
                              std::vector<double> budget_wh) {
-  if (base_wh.size() != base_s_.size() || per_shard_wh.size() != base_s_.size() ||
-      budget_wh.size() != base_s_.size()) {
+  if (base_wh.size() != users() || per_shard_wh.size() != users() ||
+      budget_wh.size() != users()) {
     throw std::invalid_argument("LinearCosts::set_energy: misaligned vectors");
   }
-  const bool valid = common::reduce_chunks(
-      users(), 1,
-      [&](int& ok, std::size_t j) {
-        ok &= base_wh[j] >= 0.0 && per_shard_wh[j] >= 0.0 && budget_wh[j] >= 0.0 &&
-              std::isfinite(base_wh[j]) && std::isfinite(per_shard_wh[j]);
-      },
-      std::bit_and<>());
-  if (!valid) {
-    throw std::invalid_argument(
-        "LinearCosts::set_energy: negative or NaN energy coefficients");
-  }
-  base_wh_ = std::move(base_wh);
-  per_shard_wh_ = std::move(per_shard_wh);
-  budget_wh_ = std::move(budget_wh);
+  *this = from_rows(users(), shard_size_, true, [&](std::size_t j) {
+    return CostRow{base_s_[j],  per_shard_s_[j],   capacity_[j],
+                   base_wh[j], per_shard_wh[j], budget_wh[j]};
+  });
 }
 
 std::size_t LinearCosts::max_shards_within_battery(std::size_t user) const noexcept {
-  return affine_within(base_wh_[user], per_shard_wh_[user], capacity_[user],
+  return affine_budget(base_wh_[user], per_shard_wh_[user], capacity_[user],
                        budget_wh_[user]);
 }
 

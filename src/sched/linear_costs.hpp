@@ -3,8 +3,10 @@
 // is affine in its shard count, cost(j, k) = base_s[j] + per_shard_s[j] * k
 // for k >= 1 (cost(j, 0) = 0). Instead of materializing the n x s matrix of
 // CostMatrix — O(n*s) doubles, prohibitive at n = 1M — the view stores three
-// structure-of-arrays vectors and answers max_shards_within in O(1), which is
-// what lets the bucketed Fed-LBAP binary search run in O(n log B).
+// structure-of-arrays columns and answers max_shards_within in O(1), which is
+// what lets the bucketed Fed-LBAP threshold search run as one sampled bracket
+// plus one verified pass, O(n) expected. from_rows builds the view in one
+// chunked pass (columns first touched there, rows validated, totals taken).
 //
 // Rows are non-decreasing in k (Property 1) because per_shard_s is validated
 // non-negative at construction.
@@ -14,11 +16,40 @@
 // with a per-client battery budget in Wh. The energy-aware schedulers
 // (sched/minenergy.hpp) require it; the time-only algorithms ignore it.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/column.hpp"
+#include "common/thread_pool.hpp"
+
 namespace fedsched::sched {
+
+/// Largest k <= cap with base + per * k <= limit (0 if none). The division is
+/// only a first guess, nudged until the exact predicate holds under floating
+/// point, so budgets agree bitwise with a materialized row scan.
+inline std::size_t affine_budget(double base, double per, std::size_t cap,
+                                 double limit) noexcept {
+  const auto at = [&](std::size_t k) { return base + per * static_cast<double>(k); };
+  if (cap == 0 || at(1) > limit) return 0;
+  if (per <= 0.0) return cap;  // flat row: one shard within => all within
+  const double guess =
+      std::clamp(std::floor((limit - base) / per), 1.0, static_cast<double>(cap));
+  std::size_t k = static_cast<std::size_t>(guess);
+  while (k > 1 && at(k) > limit) --k;
+  while (k < cap && at(k + 1) <= limit) ++k;
+  return k;
+}
+
+/// One client's row of the view.
+struct CostRow {
+  double base_s = 0.0, per_shard_s = 0.0;
+  std::uint32_t capacity = 0;
+  double base_wh = 0.0, per_shard_wh = 0.0, budget_wh = 0.0;  // read with energy only
+};
 
 class LinearCosts {
  public:
@@ -26,6 +57,14 @@ class LinearCosts {
   /// client j from scheduling entirely.
   LinearCosts(std::vector<double> base_s, std::vector<double> per_shard_s,
               std::vector<std::uint32_t> capacity_shards, std::size_t shard_size);
+
+  /// The view whose row j is row(j) (called concurrently for distinct j),
+  /// with the energy model from the rows' energy fields if with_energy.
+  /// Throws std::invalid_argument under the rules and messages of the vector
+  /// constructor followed by set_energy.
+  template <class RowFn>
+  [[nodiscard]] static LinearCosts from_rows(std::size_t users, std::size_t shard_size,
+                                             bool with_energy, const RowFn& row);
 
   [[nodiscard]] std::size_t users() const noexcept { return base_s_.size(); }
   [[nodiscard]] std::size_t shard_size() const noexcept { return shard_size_; }
@@ -45,11 +84,11 @@ class LinearCosts {
   }
 
   /// Largest k <= capacity with cost(j, k) <= threshold — the per-user budget
-  /// A_j(c) of Algorithm 1, in O(1) via the affine inverse. The closed-form
-  /// division is only a first guess; the result is nudged so the exact
-  /// predicate max{k : cost(j,k) <= threshold} holds under floating point.
+  /// A_j(c) of Algorithm 1, in O(1) via the affine inverse (affine_budget).
   [[nodiscard]] std::size_t max_shards_within(std::size_t user,
-                                              double threshold) const noexcept;
+                                              double threshold) const noexcept {
+    return affine_budget(base_s_[user], per_shard_s_[user], capacity_[user], threshold);
+  }
 
   /// Sum of per-user budgets at the threshold, exact below target; once the
   /// sum reaches target the scan may stop early (the result is then >=
@@ -68,6 +107,7 @@ class LinearCosts {
   /// (how much the client may burn before hitting its state-of-charge floor).
   /// Vectors must align with the cost vectors; coefficients must be finite
   /// and non-negative (budgets may be 0 for clients that must stay idle).
+  /// Rebuilds the view through from_rows.
   void set_energy(std::vector<double> base_wh, std::vector<double> per_shard_wh,
                   std::vector<double> budget_wh);
   [[nodiscard]] bool has_energy() const noexcept { return !base_wh_.empty(); }
@@ -92,15 +132,53 @@ class LinearCosts {
   [[nodiscard]] std::size_t max_shards_within_battery(std::size_t user) const noexcept;
 
  private:
-  std::vector<double> base_s_;
-  std::vector<double> per_shard_s_;
-  std::vector<std::uint32_t> capacity_;
-  std::size_t shard_size_;
+  /// What from_rows' pass accumulates over a range of rows.
+  struct RowCheck {
+    bool costs_valid = true, energy_valid = true;
+    std::size_t capacity = 0;
+    double lo_cost = std::numeric_limits<double>::infinity();
+  };
+
+  /// Sizes the columns (untouched); throws on zero users or shard size.
+  LinearCosts(std::size_t users, std::size_t shard_size, bool with_energy);
+  /// Throws on what the pass found invalid, else records its totals.
+  void finish(const RowCheck& all);
+
+  common::Column<double> base_s_;
+  common::Column<double> per_shard_s_;
+  common::Column<std::uint32_t> capacity_;
+  std::size_t shard_size_ = 0;
   std::size_t total_capacity_ = 0;
-  double lo_cost_;
-  std::vector<double> base_wh_;
-  std::vector<double> per_shard_wh_;
-  std::vector<double> budget_wh_;
+  double lo_cost_ = std::numeric_limits<double>::infinity();
+  common::Column<double> base_wh_;
+  common::Column<double> per_shard_wh_;
+  common::Column<double> budget_wh_;
 };
+
+template <class RowFn>
+LinearCosts LinearCosts::from_rows(std::size_t users, std::size_t shard_size,
+                                   bool with_energy, const RowFn& row) {
+  LinearCosts v(users, shard_size, with_energy);
+  const auto put = [&](RowCheck& check, std::size_t j) {
+    const CostRow r = row(j);
+    v.base_s_[j] = r.base_s;
+    v.per_shard_s_[j] = r.per_shard_s;
+    v.capacity_[j] = r.capacity;
+    check.costs_valid &= r.base_s >= 0.0 && r.per_shard_s >= 0.0;
+    check.capacity += r.capacity;
+    if (r.capacity > 0) check.lo_cost = std::min(check.lo_cost, v.cost(j, 1));
+    if (!with_energy) return;
+    v.base_wh_[j] = r.base_wh;
+    v.per_shard_wh_[j] = r.per_shard_wh;
+    v.budget_wh_[j] = r.budget_wh;
+    check.energy_valid &= r.base_wh >= 0.0 && r.per_shard_wh >= 0.0 && r.budget_wh >= 0.0 &&
+                          std::isfinite(r.base_wh) && std::isfinite(r.per_shard_wh);
+  };
+  v.finish(common::reduce_chunks(users, RowCheck{}, put, [](RowCheck a, const RowCheck& b) {
+    return RowCheck{a.costs_valid && b.costs_valid, a.energy_valid && b.energy_valid,
+                    a.capacity + b.capacity, std::min(a.lo_cost, b.lo_cost)};
+  }));
+  return v;
+}
 
 }  // namespace fedsched::sched

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/column.hpp"
 #include "common/stats.hpp"
 #include "common/json.hpp"
 #include "sched/bucketed.hpp"
@@ -26,8 +27,9 @@ MinEnergyResult fed_minenergy(const LinearCosts& costs, std::size_t total_shards
   const std::size_t n = costs.users();
 
   // Battery + capacity feasibility is a hard precondition; the time cap below
-  // is the only constraint the greedy may relax.
-  std::vector<std::size_t> hard_cap(n);
+  // is the only constraint the greedy may relax. The pass below writes
+  // every entry, so the column is first touched on the pool.
+  common::Column<std::size_t> hard_cap(n);
   const std::size_t hard_total = common::reduce_chunks(
       n, std::size_t{0},
       [&](std::size_t& sum, std::size_t j) {

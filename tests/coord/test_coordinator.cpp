@@ -17,8 +17,10 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.hpp"
+#include "coord/chaos/chaos.hpp"
 #include "coord/coordinator.hpp"
 #include "coord/fleet_job.hpp"
 #include "coord/registry.hpp"
@@ -165,6 +167,47 @@ TEST_F(CoordService, TrainRunMatchesLibraryOneShot) {
             read_file(ref_ckpt, "test: reference checkpoint"));
   EXPECT_EQ(coordinator.result_document("t1"),
             train_result_json(spec.train, reference) + "\n");
+}
+
+TEST_F(CoordService, DurableTrainRunWritesTheSameBytes) {
+  const RunSpec spec = train_spec("t", 5);
+  std::vector<std::string> files[2];
+  for (const bool durable : {false, true}) {
+    CoordinatorConfig cfg = config(root(durable ? "durable" : "fast"));
+    cfg.durable_writes = durable;
+    Coordinator coordinator(cfg);
+    ASSERT_TRUE(coordinator.submit(spec).accepted);
+    coordinator.wait_all_done();
+    ASSERT_EQ(coordinator.status("t")->status, RunStatus::kDone);
+    const RunRegistry& registry = coordinator.registry();
+    for (const std::string& file :
+         {registry.ckpt_path("t"), registry.trace_path("t"), registry.meta_path("t"),
+          registry.result_path("t"), registry.spec_path("t")}) {
+      files[durable ? 1 : 0].push_back(read_file(file, "test"));
+    }
+    EXPECT_FALSE(fs::exists(registry.ckpt_path("t") + ".tmp"));
+  }
+  EXPECT_EQ(files[0], files[1]);
+}
+
+TEST_F(CoordService, TrainCheckpointWriteGoesThroughTheWriteOptions) {
+  const RunSpec spec = train_spec("t", 5);
+  chaos::ChaosConfig chaos_config;
+  chaos_config.enabled = true;
+  chaos_config.crash_at_write = 1;  // the second step's checkpoint
+  chaos_config.crash_phase = chaos::CrashPhase::kAfterTmp;
+  chaos::ChaosInjector injector(chaos_config);
+  const AtomicWriteOptions options{true, &injector};
+  const std::string ckpt = root("ckpt.bin");
+  const std::string trace = root("trace.jsonl");
+
+  ASSERT_EQ(run_train_step(spec.train, ckpt, trace, 0, options).rounds_completed, 1u);
+  const std::string round_one = read_file(ckpt, "test");
+  EXPECT_THROW((void)run_train_step(spec.train, ckpt, trace, 1, options),
+               chaos::ChaosCrash);
+  EXPECT_EQ(injector.write_ops(), 2u);
+  EXPECT_EQ(read_file(ckpt, "test"), round_one);
+  EXPECT_TRUE(fs::exists(ckpt + ".tmp"));
 }
 
 TEST_F(CoordService, RestartResumesHalfFinishedRunBitIdentically) {

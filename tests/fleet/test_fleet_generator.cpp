@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "device/model_desc.hpp"
@@ -159,6 +161,74 @@ TEST(FleetGenerator, ChunkedExtendMatchesSerialGrowth) {
   expect_aligned(whole, n);
   expect_same_fleet(grown, whole);
   expect_same_fleet(serial, whole);
+}
+
+/// Calls fn on every column of `s`.
+template <class State, class Fn>
+void for_each_column(State& s, Fn&& fn) {
+  fn(s.device_model);
+  fn(s.network);
+  fn(s.speed_factor);
+  fn(s.base_s);
+  fn(s.per_sample_s);
+  fn(s.comm_s);
+  fn(s.battery_soc);
+  fn(s.battery_capacity_wh);
+  fn(s.train_power_w);
+  fn(s.comm_energy_wh);
+  fn(s.temp_c);
+  fn(s.capacity_shards);
+  fn(s.alive);
+}
+
+std::vector<std::string> column_bytes(const FleetState& s) {
+  std::vector<std::string> out;
+  for_each_column(s, [&](const auto& column) {
+    out.emplace_back(reinterpret_cast<const char*>(column.data()),
+                     column.size() * sizeof(column[0]));
+  });
+  return out;
+}
+
+constexpr unsigned char kPoison = 0xA5;
+
+/// Fills the storage of rows [size, target) of every column with kPoison and
+/// shrinks back. A Column keeps those bytes through the shrink and through
+/// extend()'s resize, so a row extend() left unwritten would show them.
+void poison_rows(FleetState& s, std::size_t target) {
+  for_each_column(s, [&](auto& column) {
+    const std::size_t size = column.size();
+    column.resize(target);
+    std::memset(column.data() + size, kPoison, (target - size) * sizeof(column[0]));
+    column.resize(size);
+  });
+}
+
+TEST(FleetGenerator, ExtendWritesEveryRowOfUninitializedStorage) {
+  const std::size_t n = common::kChunkGrain + 20'000;  // two chunks
+  const FleetGenerator gen(skewed_mix(), kModel, 61);
+  const std::vector<std::string> whole = column_bytes(gen.generate(n));
+
+  FleetState from_zero;
+  poison_rows(from_zero, n);
+  from_zero.device_model.resize(n);  // the poison survives a bare resize
+  EXPECT_EQ(from_zero.device_model[n - 1], kPoison);
+  from_zero.device_model.clear();
+  gen.extend(from_zero, n);
+  EXPECT_TRUE(column_bytes(from_zero) == whole);
+
+  FleetState from_1001 = gen.generate(1'001);
+  poison_rows(from_1001, n);
+  gen.extend(from_1001, n);
+  EXPECT_TRUE(column_bytes(from_1001) == whole);
+
+  const std::size_t m = 3'000;
+  FleetState one_at_a_time;
+  for (std::size_t j = 1; j <= m; ++j) {
+    poison_rows(one_at_a_time, j);
+    gen.extend(one_at_a_time, j);
+  }
+  EXPECT_TRUE(column_bytes(one_at_a_time) == column_bytes(gen.generate(m)));
 }
 
 TEST(FleetGenerator, LinearCostsViewMatchesState) {

@@ -74,7 +74,7 @@ TEST(FleetSim, IdleClientsCostNothing) {
   FleetSimConfig config;
   config.shard_size = 10;
   FleetSimulator sim(generated_fleet(400, 11), config);
-  const std::vector<double> soc_before = sim.state().battery_soc;
+  const auto soc_before = sim.state().battery_soc;
 
   // Only the first 100 clients participate.
   std::vector<std::size_t> plan(400, 0);
@@ -301,7 +301,7 @@ TEST(FleetSim, BatteryDrainsMonotonicallyAcrossRounds) {
   config.shard_size = 10;
   FleetSimulator sim(generated_fleet(300, 44), config);
   const std::vector<std::size_t> plan(300, 1);
-  std::vector<double> prev = sim.state().battery_soc;
+  auto prev = sim.state().battery_soc;
   for (std::size_t round = 0; round < 4; ++round) {
     sim.run_round(plan, round);
     for (std::size_t j = 0; j < 300; ++j) {

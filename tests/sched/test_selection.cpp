@@ -4,7 +4,8 @@
 // reference oracles. Assignments must be identical — bit for bit, including
 // on rows whose floating-point marginals vary by an ulp from shard to shard,
 // where the trim key is the running minimum of the marginals, not the
-// marginal itself.
+// marginal itself. BucketedSearch.* checks Fed-LBAP's sampled-bracket
+// threshold search against the plain binary search (serial_lbap).
 
 #include "sched/selection.hpp"
 
@@ -537,6 +538,108 @@ TEST(ChunkedSelection, FedLbapAndTrimMatchSerialCopyAtThreeChunks) {
     EXPECT_EQ(got.trimmed_shards, want.trimmed_shards);
     EXPECT_EQ(got.makespan_seconds, want.makespan_seconds);
   }
+}
+
+/// fed_lbap_bucketed against serial_lbap — the plain binary search over the
+/// boundaries that its sampled bracket replaced — field by field. Returns
+/// whether the bracket failed and the exact fallback ran.
+bool expect_lbap_matches_binary_search(const LinearCosts& costs, std::size_t total,
+                                       std::size_t buckets) {
+  SCOPED_TRACE(testing::Message() << costs.users() << " users, " << total << " shards, "
+                                  << buckets << " buckets");
+  const BucketedLbapResult got = fed_lbap_bucketed(costs, total, buckets);
+  const BucketedLbapResult want = serial_lbap(costs, total, buckets);
+  EXPECT_EQ(got.threshold_seconds, want.threshold_seconds);
+  EXPECT_EQ(got.bucket_width, want.bucket_width);
+  EXPECT_EQ(got.search_iterations, want.search_iterations);
+  EXPECT_EQ(got.trimmed_shards, want.trimmed_shards);
+  EXPECT_EQ(got.makespan_seconds, want.makespan_seconds);
+  EXPECT_TRUE(got.assignment.shards_per_user == want.assignment.shards_per_user);
+  EXPECT_GE(got.search_passes, 1u);
+  return got.search_passes > 1;
+}
+
+/// Random affine rows in which every 64th user — the users the threshold
+/// search samples — has its costs scaled by sample_scale.
+LinearCosts skewed_rows(std::uint64_t seed, std::size_t n, std::uint32_t cap_max,
+                        double sample_scale) {
+  common::Rng rng(seed);
+  std::vector<double> base(n), per(n);
+  std::vector<std::uint32_t> cap(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double scale = j % 64 == 0 ? sample_scale : 1.0;
+    base[j] = scale * rng.uniform(0.0, 5.0);
+    per[j] = rng.bernoulli(0.05) ? 0.0 : scale * rng.uniform(0.1, 3.0);
+    cap[j] = rng.bernoulli(0.03) ? 0 : static_cast<std::uint32_t>(1 + rng.uniform_int(cap_max));
+  }
+  cap[0] = std::max<std::uint32_t>(cap[0], 1);
+  return LinearCosts(std::move(base), std::move(per), std::move(cap), 1);
+}
+
+constexpr std::size_t kSearchBuckets[] = {1, 2, 64, 256};
+
+TEST(BucketedSearch, MatchesBinarySearchAtOneTwoAndThreeChunks) {
+  common::Rng rng(61);
+  const std::size_t sizes[] = {5'000, common::kChunkGrain + 20'000,
+                               2 * common::kChunkGrain + 36'000};
+  for (std::size_t s = 0; s < std::size(sizes); ++s) {
+    const LinearCosts costs = random_rows(rng, sizes[s], 16, rows_of(s), false, kInf);
+    for (const std::size_t buckets : kSearchBuckets) {
+      for (const std::size_t total : {costs.users() / 2, costs.total_capacity() / 2}) {
+        expect_lbap_matches_binary_search(costs, total, buckets);
+      }
+    }
+  }
+  // A representative sample needs no fallback: one full pass.
+  const LinearCosts fleet = skewed_rows(500, 2 * common::kChunkGrain + 36'000, 16, 1.0);
+  for (const std::size_t buckets : {std::size_t{64}, std::size_t{256}}) {
+    EXPECT_EQ(fed_lbap_bucketed(fleet, 2 * fleet.users(), buckets).search_passes, 1u);
+  }
+}
+
+TEST(BucketedSearch, FallbackRunsAndAgreesWhenTheSampleMisleads) {
+  std::size_t fallbacks = 0, cases = 0;
+  const auto check = [&](const LinearCosts& costs, std::size_t total, std::size_t buckets) {
+    ++cases;
+    if (expect_lbap_matches_binary_search(costs, total, buckets)) ++fallbacks;
+  };
+  common::Rng pick(7);
+  // Sampled users 100x faster (the estimate overshoots, the candidate is too
+  // low) or 100x slower (it undershoots, the candidate is too high).
+  for (const double scale : {0.01, 100.0}) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const LinearCosts costs = skewed_rows(200 + seed, 3'000 + 1'000 * seed, 8, scale);
+      for (const std::size_t buckets : kSearchBuckets) {
+        for (int t = 0; t < 3; ++t) {
+          check(costs, 1 + pick.uniform_int(costs.total_capacity()), buckets);
+        }
+      }
+    }
+  }
+  // Fewer users than the sample stride: user 0 alone stands for the fleet.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const LinearCosts costs = skewed_rows(300 + seed, 1 + seed * 3, 12, 1.0);
+    for (const std::size_t buckets : kSearchBuckets) {
+      check(costs, 1 + pick.uniform_int(costs.total_capacity()), buckets);
+    }
+  }
+  // Answers at the ends of the range: 0 (one shard) and B (every shard).
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const LinearCosts costs = skewed_rows(400 + seed, 2'000, 8, seed % 2 ? 100.0 : 0.01);
+    for (const std::size_t buckets : kSearchBuckets) {
+      check(costs, 1, buckets);
+      check(costs, costs.total_capacity(), buckets);
+    }
+  }
+  // All-equal rows: every boundary below the top has the same budgets.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{5'000}}) {
+    const LinearCosts costs(std::vector<double>(n, 1.5), std::vector<double>(n, 0.5),
+                            std::vector<std::uint32_t>(n, 4), 1);
+    for (const std::size_t buckets : kSearchBuckets) {
+      for (const std::size_t total : {std::size_t{1}, n, 4 * n}) check(costs, total, buckets);
+    }
+  }
+  EXPECT_GE(fallbacks, 100u) << "of " << cases << " cases";
 }
 
 TEST(ChunkedSelection, MinEnergyMatchesHeapAtThreeChunks) {
