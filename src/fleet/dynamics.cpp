@@ -122,16 +122,21 @@ ClientDynamics::ClientDynamics(DynamicsConfig config,
 }
 
 void ClientDynamics::ensure_size(std::size_t n) {
-  if (avail_phase_.size() >= n) return;
-  const std::size_t start = avail_phase_.size();
-  avail_phase_.resize(n);
-  charge_phase_.resize(n);
-  departed_.resize(n, 0);
+  const std::size_t start = departed_.size();
+  if (start >= n) return;
+  const bool phases = config_.diurnal || config_.charging;
+  common::grow(departed_, n);
+  if (phases) {
+    common::grow(avail_phase_, n);
+    common::grow(charge_phase_, n);
+  }
   common::for_chunks(n - start, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t j = start + lo; j < start + hi; ++j) {
+      departed_[j] = 0;
+      if (!phases) continue;
       // Per-client stream, pure function of (seed, j). Draw order is part of
-      // the format: [0] availability phase, [1] charge phase — both always
-      // drawn so scenario toggles never shift each other's stream.
+      // the format: [0] availability phase, [1] charge phase — both drawn
+      // when either cycle is on, so toggling one never shifts the other.
       common::Rng rng = root_.fork(j);
       avail_phase_[j] = rng.uniform(0.0, config_.day_period_s);
       charge_phase_[j] = rng.uniform(0.0, config_.charge_period_s);

@@ -12,9 +12,10 @@
 //  - Per-client streams come from `Rng(seed).fork(client)` — a pure function
 //    of (seed, client id) — with a fixed draw order that is part of the
 //    format: [0] availability phase uniform in [0, day_period_s), [1] charge
-//    phase uniform in [0, charge_period_s). Both are drawn whether or not the
-//    feature is enabled, so toggling one scenario knob never shifts another
-//    knob's stream, and a client keeps its phases when the fleet grows.
+//    phase uniform in [0, charge_period_s). Both are drawn when either the
+//    diurnal or the charging cycle is on, so toggling one never shifts the
+//    other's stream, and a client keeps its phases when the fleet grows.
+//    With both cycles off none is drawn (nothing reads one).
 //  - Per-round draws (leave, net-switch, join count) are stateless splitmix64
 //    hashes of (seed ^ domain-tag, round[, client]), mirroring the crash
 //    draws of fleet/event_sim.cpp: no draw depends on processing order.
@@ -116,9 +117,10 @@ struct DynEvent {
 };
 
 /// Bitwise-stable snapshot of the dynamics state (see snapshot()/restore()).
+/// The phase columns are empty unless the diurnal or charging cycle is on.
 struct DynamicsSnapshot {
   double now_s = 0.0;
-  std::vector<std::uint8_t> departed;
+  common::Column<std::uint8_t> departed;
   common::Column<double> avail_phase;
   common::Column<double> charge_phase;
 };
@@ -136,8 +138,9 @@ class ClientDynamics {
   /// The absolute simulated clock; round r runs at [now_s, now_s + span).
   [[nodiscard]] double now_s() const noexcept { return now_s_; }
 
-  /// Draw per-client phases for clients [current, n) — idempotent, called by
-  /// the cost mask and the simulator before reading any per-client cycle.
+  /// Size the per-client state to n clients, drawing the phases of clients
+  /// [current, n) when a cycle reads them — idempotent, called by the cost
+  /// mask and the simulator before reading any per-client cycle.
   void ensure_size(std::size_t n);
 
   [[nodiscard]] bool departed(std::size_t j) const {
@@ -146,6 +149,7 @@ class ClientDynamics {
   /// Closed-form cycle membership at absolute time t.
   [[nodiscard]] bool available(std::size_t j, double t) const;
   [[nodiscard]] bool plugged(std::size_t j, double t) const;
+  /// Per-client phases: drawn, so readable, only while a cycle is on.
   [[nodiscard]] double avail_phase(std::size_t j) const { return avail_phase_[j]; }
   [[nodiscard]] double charge_phase(std::size_t j) const {
     return charge_phase_[j];
@@ -194,7 +198,7 @@ class ClientDynamics {
   const FleetGenerator* generator_;
   common::Rng root_;
   double now_s_ = 0.0;
-  std::vector<std::uint8_t> departed_;
+  common::Column<std::uint8_t> departed_;
   common::Column<double> avail_phase_;
   common::Column<double> charge_phase_;
 };

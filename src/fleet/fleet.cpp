@@ -143,21 +143,21 @@ FleetGenerator::FleetGenerator(FleetMix mix, device::ModelDesc model,
 void FleetGenerator::extend(FleetState& state, std::size_t target_n) const {
   const std::size_t start = state.size();
   if (target_n <= start) return;
-  // Column resizes leave the new rows untouched: the chunked pass below
-  // writes every column of every new row, so the pages fault in on the pool.
-  state.device_model.resize(target_n);
-  state.network.resize(target_n);
-  state.speed_factor.resize(target_n);
-  state.base_s.resize(target_n);
-  state.per_sample_s.resize(target_n);
-  state.comm_s.resize(target_n);
-  state.battery_soc.resize(target_n);
-  state.battery_capacity_wh.resize(target_n);
-  state.train_power_w.resize(target_n);
-  state.comm_energy_wh.resize(target_n);
-  state.temp_c.resize(target_n);
-  state.capacity_shards.resize(target_n);
-  state.alive.resize(target_n);
+  // Growth leaves the new rows untouched: the chunked pass below writes
+  // every column of every new row, so the pages fault in on the pool.
+  common::grow(state.device_model, target_n);
+  common::grow(state.network, target_n);
+  common::grow(state.speed_factor, target_n);
+  common::grow(state.base_s, target_n);
+  common::grow(state.per_sample_s, target_n);
+  common::grow(state.comm_s, target_n);
+  common::grow(state.battery_soc, target_n);
+  common::grow(state.battery_capacity_wh, target_n);
+  common::grow(state.train_power_w, target_n);
+  common::grow(state.comm_energy_wh, target_n);
+  common::grow(state.temp_c, target_n);
+  common::grow(state.capacity_shards, target_n);
+  common::grow(state.alive, target_n);
 
   const std::vector<double> weights(mix_.device_weights.begin(),
                                     mix_.device_weights.end());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -38,6 +39,9 @@ std::size_t first_feasible(std::size_t lo, std::size_t hi, Feasible&& feasible) 
 
 /// The threshold search estimates budget sums from every 64th user.
 constexpr std::size_t kSampleStride = 64;
+
+/// Buckets of the trim-key histogram.
+constexpr std::size_t kTrimBuckets = 4096;
 
 }  // namespace
 
@@ -86,17 +90,56 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
   result.assignment.shard_size = costs.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(n);
-  struct Bracket { std::size_t below = 0, at = 0; };  // T(c - 1), T(c)
-  const double below_s = c > 0 ? boundary(c - 1) : -1.0;  // costs are >= 0
-  const double at_s = boundary(c);
-  const Bracket t = common::reduce_chunks(
-      n, Bracket{},
-      [&](Bracket& b, std::size_t j) {
-        shards[j] = costs.max_shards_within(j, at_s);
-        b.at += shards[j];
-        b.below += costs.max_shards_within(j, below_s);
-      },
-      [](Bracket a, const Bracket& b) { return Bracket{a.below + b.below, a.at + b.at}; });
+
+  // The assignment pass at boundary(c): writes the budgets, sums T(below_s)
+  // and T(c), and histograms every user's trim key (its KeySpan's centre,
+  // weighted by its shards) over kTrimBuckets buckets spanning the sample's
+  // keys; keys outside clamp to the end buckets.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double key_lo = kInf, key_scale = 0.0;  // scale 0: one bucket holds all
+  const auto key_bucket = [&](double key) {
+    const double x = (key - key_lo) * key_scale;
+    return x > 0.0 ? static_cast<std::size_t>(std::min(x, kTrimBuckets - 1.0)) : 0;
+  };
+  const auto key_edge = [&](std::size_t b) {  // bucket b spans [edge(b), edge(b+1))
+    if (b == 0 || b == kTrimBuckets) return b == 0 ? -kInf : kInf;
+    return key_lo + static_cast<double>(b) / key_scale;
+  };
+  struct Pass {
+    std::size_t below = 0, at = 0;
+    std::vector<std::size_t> keys = std::vector<std::size_t>(kTrimBuckets);
+  };
+  const auto assign = [&](double below_s) {
+    const double at_s = boundary(c);
+    double key_hi = -kInf;
+    key_lo = kInf;
+    for (const SampleRow& r : sample) {
+      const std::size_t s = affine_budget(r.base_s, r.per_shard_s, r.capacity, at_s);
+      if (s == 0) continue;
+      const double key = trim_key_span(r.base_s, r.per_shard_s, s).key;
+      key_lo = std::min(key_lo, key);
+      key_hi = std::max(key_hi, key);
+    }
+    const double range = key_hi - key_lo;
+    key_scale = range > 0.0 && std::isfinite(range) ? kTrimBuckets / range : 0.0;
+    return common::reduce_chunks(
+        n, Pass{},
+        [&](Pass& p, std::size_t j) {
+          shards[j] = costs.max_shards_within(j, at_s);
+          p.below += costs.max_shards_within(j, below_s);
+          if (shards[j] == 0) return;
+          p.at += shards[j];
+          p.keys[key_bucket(trim_key_span(costs.base_seconds(j), costs.per_shard_seconds(j),
+                                          shards[j]).key)] += shards[j];
+        },
+        [](Pass all, const Pass& p) {
+          all.below += p.below;
+          all.at += p.at;
+          for (std::size_t b = 0; b < kTrimBuckets; ++b) all.keys[b] += p.keys[b];
+          return all;
+        });
+  };
+  Pass t = assign(c > 0 ? boundary(c - 1) : -1.0);  // costs are >= 0
   result.search_passes = 1;
   if (t.below >= total_shards || (c < buckets && t.at < total_shards)) {
     const auto feasible = [&](std::size_t i) {
@@ -105,10 +148,7 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
     };
     c = t.below >= total_shards ? first_feasible(0, c - 1, feasible)
                                 : first_feasible(c + 1, buckets, feasible);
-    const double threshold = boundary(c);
-    common::for_chunks(n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t j = lo; j < hi; ++j) shards[j] = costs.max_shards_within(j, threshold);
-    });
+    t = assign(-1.0);
     ++result.search_passes;
   }
   result.threshold_seconds = boundary(c);
@@ -119,15 +159,73 @@ BucketedLbapResult fed_lbap_bucketed(const LinearCosts& costs,
     return i >= c;
   });
 
-  // Surplus trim, same rule (and code) as the exact path.
-  result.trimmed_shards = trim_surplus(costs, shards, total_shards);
-
-  result.makespan_seconds = common::reduce_chunks(
-      n, 0.0,
-      [&](double& actual, std::size_t j) {
-        if (shards[j] > 0) actual = std::max(actual, costs.cost(j, shards[j]));
-      },
-      [](double a, double b) { return std::max(a, b); });
+  // Surplus trim: drop the `need` units that come first under the trim order
+  // (key asc, user asc) of append_trim_runs. The histogram's boundary bucket
+  // [a, z] holds the need-th key centre. One pass classifies the users by
+  // their key spans: below a, a user loses every shard; above z, it keeps
+  // them; the rest walk their exact chains, and a selection over those runs
+  // picks the units still wanted. That is the exact trim if at most `need`
+  // units can key below a and at least `need` surely key at or below z:
+  // lsum <= need <= usum. Else the assignment is rebuilt and trim_surplus
+  // walks every chain.
+  const std::size_t need = t.at - total_shards;
+  std::size_t bucket = 0;
+  for (std::size_t below = 0; need > 0 && below + t.keys[bucket] < need; ++bucket) {
+    below += t.keys[bucket];
+  }
+  struct Split {
+    std::size_t lsum = 0, usum = 0, sure = 0;
+    double makespan = 0.0;  // over the users that keep every shard
+    std::vector<UnitRun> runs;
+    std::vector<std::uint32_t> middle;
+  };
+  const auto split = [&](double a, double z) {
+    return common::reduce_chunks(
+        n, Split{},
+        [&](Split& p, std::size_t j) {
+          const std::size_t s = shards[j];
+          if (s == 0) return;
+          const KeySpan span = trim_key_span(costs.base_seconds(j), costs.per_shard_seconds(j), s);
+          const double lower = span.key - span.slack, upper = span.key + span.slack;
+          if (lower < a) p.lsum += s;
+          if (upper <= z) p.usum += s;
+          if (upper < a) {
+            p.sure += s;
+            shards[j] = 0;
+          } else if (lower > z) {
+            p.makespan = std::max(p.makespan, costs.cost(j, s));
+          } else {
+            p.middle.push_back(static_cast<std::uint32_t>(j));
+            append_trim_runs(costs, j, s, p.runs);
+          }
+        },
+        [](Split all, const Split& p) {
+          all.lsum += p.lsum;
+          all.usum += p.usum;
+          all.sure += p.sure;
+          all.makespan = std::max(all.makespan, p.makespan);
+          all.runs.insert(all.runs.end(), p.runs.begin(), p.runs.end());
+          all.middle.insert(all.middle.end(), p.middle.begin(), p.middle.end());
+          return all;
+        });
+  };
+  // With nothing to trim every user keeps its shards: a = z = -inf.
+  Split all = need > 0 ? split(key_edge(bucket), key_edge(bucket + 1)) : split(-kInf, -kInf);
+  result.trim_passes = 1;
+  if (all.lsum <= need && need <= all.usum) {
+    select_units(all.runs, need - all.sure);
+    for (const UnitRun& run : all.runs) shards[run.user] -= run.count;
+    for (const std::uint32_t j : all.middle) {
+      if (shards[j] > 0) all.makespan = std::max(all.makespan, costs.cost(j, shards[j]));
+    }
+  } else {
+    assign(-1.0);
+    trim_surplus(costs, shards, need);
+    all = split(-kInf, -kInf);  // the makespan
+    result.trim_passes += 3;
+  }
+  result.makespan_seconds = all.makespan;
+  result.trimmed_shards = need;
 
   if (trace != nullptr && trace->enabled()) {
     // Unlike sched_lbap, no per-user shard list: at fleet scale that array is

@@ -6,11 +6,13 @@
 //
 //  - fed_lbap_bucketed searches the B+1 bucket boundaries instead of the ns
 //    distinct matrix values: one sampled bracket + one verified pass, O(n)
-//    expected (a failed bracket falls back to O(n) exact probes), then a
-//    surplus trim linear in the assigned shards (a weighted selection,
-//    sched/selection.hpp). The chosen threshold is the smallest feasible
-//    boundary, which is strictly less than c* + width, so the achieved
-//    makespan is within one bucket width of the exact optimum.
+//    expected (a failed bracket falls back to O(n) exact probes). The
+//    surplus trim is one more O(n) pass: it classifies users by where their
+//    trim keys can lie and walks the exact marginal chains only of the few
+//    users next to the cutoff (a failed bracket falls back to walking every
+//    chain, sched/selection.hpp). The chosen threshold is the smallest
+//    feasible boundary, which is strictly less than c* + width, so the
+//    achieved makespan is within one bucket width of the exact optimum.
 //  - fed_minavg_bucketed runs the greedy shard loop over per-bucket min-heaps
 //    with lazy deletion instead of an O(n) argmin scan per shard: each step
 //    picks the lowest-id client whose current candidate cost falls in the
@@ -42,6 +44,8 @@ struct BucketedLbapResult {
   std::size_t search_iterations = 0;
   /// Full passes over the users the search made (1: the bracket held).
   std::size_t search_passes = 0;
+  /// Full passes over the users the surplus trim made (1: its bracket held).
+  std::size_t trim_passes = 0;
   std::size_t trimmed_shards = 0;
 };
 

@@ -78,10 +78,12 @@ LbapResult fed_lbap(const CostMatrix& matrix, std::size_t total_shards,
   result.assignment.shard_size = matrix.shard_size();
   auto& shards = result.assignment.shards_per_user;
   shards.resize(matrix.users());
+  std::size_t assigned = 0;
   for (std::size_t j = 0; j < matrix.users(); ++j) {
     shards[j] = matrix.max_shards_within(j, threshold);
+    assigned += shards[j];
   }
-  result.trimmed_shards = trim_surplus(matrix, shards, total_shards);
+  result.trimmed_shards = trim_surplus(matrix, shards, assigned - total_shards);
 
   double actual = 0.0;
   for (std::size_t j = 0; j < matrix.users(); ++j) {

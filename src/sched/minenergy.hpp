@@ -23,8 +23,9 @@
 // reported as relaxed_shards. Battery and capacity caps are never relaxed;
 // infeasibility against those throws, mirroring the other schedulers.
 //
-// Complexity: expected O(n) for the probe (one sampled bracket + one
-// verified pass, sched/bucketed.hpp) plus expected O(n) per greedy pass:
+// Complexity: expected O(n) for the probe (two full passes over the users
+// when its threshold and trim brackets hold, sched/bucketed.hpp) plus
+// expected O(n) per greedy pass:
 // each client's bids form one run, and a pass is one weighted selection
 // over the runs (sched/selection.hpp) — no per-shard steps.
 

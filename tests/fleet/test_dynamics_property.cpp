@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "device/model_desc.hpp"
 #include "fleet/event_sim.hpp"
 #include "sched/bucketed.hpp"
@@ -135,6 +136,43 @@ TEST(Dynamics, ChargeEdgesMatchTheSeededCycleExactly) {
       EXPECT_EQ(dyn.plugged(j, prev + 1e-6), dyn.plugged(j, mid));
       prev = edge;
     }
+  }
+}
+
+TEST(Dynamics, PhasesDrawnOnlyWhenACycleReadsThem) {
+  // Two chunks, reached through a reallocating second ensure_size.
+  const std::size_t n = common::kChunkGrain + 20'000;
+  DynamicsConfig both = scenario_config("diurnal", 5);
+  both.charging = true;
+  for (const DynamicsConfig& config :
+       {scenario_config("diurnal", 3), scenario_config("charge-gated", 4), both}) {
+    ClientDynamics dyn(config);
+    dyn.ensure_size(1'001);
+    dyn.ensure_size(n);
+    const DynamicsSnapshot snap = dyn.snapshot();
+    ASSERT_EQ(snap.avail_phase.size(), n);
+    ASSERT_EQ(snap.charge_phase.size(), n);
+    EXPECT_EQ(snap.departed, common::Column<std::uint8_t>(n, 0));
+    // The documented draw order: [0] availability phase, [1] charge phase.
+    const common::Rng root(config.seed);
+    std::size_t differing = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      common::Rng rng = root.fork(j);
+      differing += snap.avail_phase[j] != rng.uniform(0.0, config.day_period_s);
+      differing += snap.charge_phase[j] != rng.uniform(0.0, config.charge_period_s);
+    }
+    EXPECT_EQ(differing, 0u) << "seed " << config.seed;
+  }
+  // Churn and net-flap read no phase: none is drawn.
+  const FleetGenerator generator = make_generator(9);
+  for (const char* scenario : {"churn", "net-flap"}) {
+    ClientDynamics dyn(scenario_config(scenario, 9), &generator);
+    dyn.ensure_size(1'001);
+    dyn.ensure_size(n);
+    const DynamicsSnapshot snap = dyn.snapshot();
+    EXPECT_TRUE(snap.avail_phase.empty()) << scenario;
+    EXPECT_TRUE(snap.charge_phase.empty()) << scenario;
+    EXPECT_EQ(snap.departed, common::Column<std::uint8_t>(n, 0)) << scenario;
   }
 }
 

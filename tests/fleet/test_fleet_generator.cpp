@@ -231,6 +231,24 @@ TEST(FleetGenerator, ExtendWritesEveryRowOfUninitializedStorage) {
   EXPECT_TRUE(column_bytes(one_at_a_time) == column_bytes(gen.generate(m)));
 }
 
+TEST(FleetGenerator, ExtendAcrossCapacityAtMultiChunkSizesMatchesGenerate) {
+  // A generated fleet has no spare capacity, so a first join reallocates
+  // every column and copies its old rows in chunks; growth doubles, as
+  // std::vector's does, so a second join past that capacity copies again.
+  const std::size_t n = common::kChunkGrain + 20'000;  // two chunks
+  const FleetGenerator gen(skewed_mix(), kModel, 67);
+  FleetState grown = gen.generate(n);
+  gen.extend(grown, n + 1);
+  for_each_column(grown, [&](const auto& column) { EXPECT_EQ(column.capacity(), 2 * n); });
+  gen.extend(grown, 2 * n + 1);  // doubling beats the target
+  for_each_column(grown, [&](const auto& column) {
+    EXPECT_EQ(column.capacity(), 2 * (n + 1));
+  });
+  gen.extend(grown, 4 * n + 11);  // the target beats doubling; 3 chunks copied
+  for_each_column(grown, [&](const auto& column) { EXPECT_EQ(column.capacity(), 4 * n + 11); });
+  EXPECT_TRUE(column_bytes(grown) == column_bytes(gen.generate(4 * n + 11)));
+}
+
 TEST(FleetGenerator, LinearCostsViewMatchesState) {
   const FleetMix mix = skewed_mix();
   const FleetState state = FleetGenerator(mix, kModel, 5).generate(200);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -65,6 +66,42 @@ std::vector<std::size_t> heap_trim(const LinearCosts& costs,
     --shards[j];
     --assigned;
     if (shards[j] > 0) heap.push({marginal_of(j), j});
+  }
+  return shards;
+}
+
+/// The surplus trim as it walked every assigned user's chain: each shard's
+/// key is the negated running minimum of the marginals C_jk - C_j(k-1) down
+/// its user's chain k = s_j, ..., 1; all runs sorted by (key, user), the
+/// first assigned - total_shards units are dropped.
+std::vector<std::size_t> chain_trim(const LinearCosts& costs,
+                                    std::vector<std::size_t> shards,
+                                    std::size_t total_shards) {
+  std::size_t surplus = 0;
+  for (const std::size_t s : shards) surplus += s;
+  surplus -= total_shards;
+  std::vector<UnitRun> runs;
+  for (std::size_t j = 0; j < shards.size(); ++j) {
+    double upper = costs.cost(j, shards[j]), key = kInf;
+    for (std::size_t k = shards[j]; k > 0; --k) {
+      const double lower = k > 1 ? costs.cost(j, k - 1) : 0.0;
+      key = std::min(key, upper - lower);
+      upper = lower;
+      if (k < shards[j] && runs.back().key == -key) {
+        ++runs.back().count;
+      } else {
+        runs.push_back({-key, static_cast<std::uint32_t>(j), 1});
+      }
+    }
+  }
+  std::sort(runs.begin(), runs.end(), [](const UnitRun& a, const UnitRun& b) {
+    return a.key != b.key ? a.key < b.key : a.user < b.user;
+  });
+  for (const UnitRun& r : runs) {
+    if (surplus == 0) break;
+    const std::size_t take = std::min<std::size_t>(surplus, r.count);
+    shards[r.user] -= take;
+    surplus -= take;
   }
   return shards;
 }
@@ -476,9 +513,12 @@ fleet::FleetState three_chunk_fleet(const fleet::FleetMix& mix, std::uint64_t se
       .generate(2 * common::kChunkGrain + 36'000);
 }
 
-/// fed_lbap_bucketed as one serial scan per pass, trimmed by the heap.
+using TrimFn = std::vector<std::size_t> (*)(const LinearCosts&, std::vector<std::size_t>,
+                                            std::size_t);
+
+/// fed_lbap_bucketed as one serial scan per pass, trimmed by `trim`.
 BucketedLbapResult serial_lbap(const LinearCosts& costs, std::size_t total,
-                               std::size_t buckets) {
+                               std::size_t buckets, TrimFn trim = heap_trim) {
   const std::size_t n = costs.users();
   double lo = kInf, hi = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -515,7 +555,7 @@ BucketedLbapResult serial_lbap(const LinearCosts& costs, std::size_t total,
   r.threshold_seconds = lo_i == buckets ? hi : lo + width * static_cast<double>(lo_i);
   const std::vector<std::size_t> b = budgets(r.threshold_seconds);
   r.trimmed_shards = sum(b) - total;
-  r.assignment.shards_per_user = heap_trim(costs, b, total);
+  r.assignment.shards_per_user = trim(costs, b, total);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t k = r.assignment.shards_per_user[j];
     if (k > 0) r.makespan_seconds = std::max(r.makespan_seconds, costs.cost(j, k));
@@ -640,6 +680,195 @@ TEST(BucketedSearch, FallbackRunsAndAgreesWhenTheSampleMisleads) {
     }
   }
   EXPECT_GE(fallbacks, 100u) << "of " << cases << " cases";
+}
+
+// ---- Fed-LBAP surplus trim by key spans vs the chain walk -------------------
+
+/// fed_lbap_bucketed against serial_lbap trimmed by chain_trim, field by
+/// field. Returns whether the trim's bracket failed and its fallback ran.
+bool expect_lbap_matches_chain_walk(const LinearCosts& costs, std::size_t total,
+                                    std::size_t buckets) {
+  SCOPED_TRACE(testing::Message() << costs.users() << " users, " << total << " shards, "
+                                  << buckets << " buckets");
+  const BucketedLbapResult got = fed_lbap_bucketed(costs, total, buckets);
+  const BucketedLbapResult want = serial_lbap(costs, total, buckets, chain_trim);
+  EXPECT_EQ(got.threshold_seconds, want.threshold_seconds);
+  EXPECT_EQ(got.bucket_width, want.bucket_width);
+  EXPECT_EQ(got.search_iterations, want.search_iterations);
+  EXPECT_EQ(got.trimmed_shards, want.trimmed_shards);
+  EXPECT_EQ(got.makespan_seconds, want.makespan_seconds);
+  EXPECT_TRUE(got.assignment.shards_per_user == want.assignment.shards_per_user);
+  EXPECT_GE(got.trim_passes, 1u);
+  return got.trim_passes > 1;
+}
+
+constexpr std::size_t kTrimBucketChoices[] = {1, 2, 64, 256, 4096};
+constexpr std::size_t kOneTwoThreeChunks[] = {5'000, common::kChunkGrain + 20'000,
+                                              2 * common::kChunkGrain + 36'000};
+
+TEST(BucketedTrim, MatchesChainWalkAtOneTwoAndThreeChunks) {
+  common::Rng rng(83);
+  for (std::size_t s = 0; s < std::size(kOneTwoThreeChunks); ++s) {
+    for (const Rows rows : {Rows::kDyadic, Rows::kUlpNoisy, Rows::kTwins}) {
+      const LinearCosts costs = random_rows(rng, kOneTwoThreeChunks[s], 16, rows, false, kInf);
+      for (const std::size_t buckets : kTrimBucketChoices) {
+        expect_lbap_matches_chain_walk(
+            costs, costs.users() + rng.uniform_int(costs.users()), buckets);
+      }
+    }
+  }
+  // On generated fleets the bracket holds: one classify pass, no fallback.
+  fleet::FleetMix small;
+  small.capacity_shards = 16;
+  small.lte_fraction = 0.3;
+  for (const fleet::FleetMix& mix : {fleet::FleetMix{}, small}) {
+    const LinearCosts costs = fleet::linear_costs(three_chunk_fleet(mix, 53), 100);
+    for (const std::size_t buckets : kTrimBucketChoices) {
+      EXPECT_FALSE(expect_lbap_matches_chain_walk(costs, 2 * costs.users(), buckets));
+    }
+  }
+}
+
+TEST(BucketedTrim, SingleShardUsersKeyByTheirWholeCost) {
+  // A user holding one shard has one key, exactly -cost(j, 1), far below its
+  // slope; keying it by the slope trims the wrong users on churn fleets.
+  std::size_t single = 0, single_trimmed = 0;
+  const auto count = [&](const LinearCosts& costs, std::size_t total, std::size_t buckets) {
+    expect_lbap_matches_chain_walk(costs, total, buckets);
+    const BucketedLbapResult r = fed_lbap_bucketed(costs, total, buckets);
+    for (std::size_t j = 0; j < costs.users(); ++j) {
+      if (costs.max_shards_within(j, r.threshold_seconds) != 1) continue;
+      ++single;
+      single_trimmed += r.assignment.shards_per_user[j] == 0;
+    }
+  };
+  fleet::FleetMix mix;
+  mix.capacity_shards = 16;
+  mix.lte_fraction = 0.3;
+  const fleet::FleetGenerator generator(mix, device::lenet_desc(), 59);
+  const fleet::FleetState state = generator.generate(2 * common::kChunkGrain + 36'000);
+  fleet::ClientDynamics dynamics(fleet::scenario_config("churn", 59), &generator);
+  const LinearCosts churn = fleet::dynamic_linear_costs(state, 100, dynamics);
+  for (const std::size_t buckets : {std::size_t{64}, std::size_t{256}}) {
+    count(churn, 2 * state.size(), buckets);
+  }
+  common::Rng rng(89);
+  for (int i = 0; i < 300; ++i) {
+    const LinearCosts costs = random_rows(rng, 2 + rng.uniform_int(3'000), 1 + rng.uniform_int(3),
+                                          rows_of(static_cast<std::size_t>(i)), false, kInf);
+    count(costs, 1 + rng.uniform_int(costs.total_capacity()),
+          kTrimBucketChoices[rng.uniform_int(std::size(kTrimBucketChoices))]);
+  }
+  EXPECT_GT(single_trimmed, 1'000u) << "of " << single << " single-shard users";
+}
+
+TEST(BucketedTrim, FlatRowsMatchChainWalk) {
+  // Zero slopes: a flat user's keys are all 0 (or -base with one shard), so
+  // whole runs tie and only the user id orders them.
+  common::Rng rng(97);
+  for (const std::size_t n : kOneTwoThreeChunks) {
+    for (const double flat_share : {1.0, 0.5}) {
+      std::vector<double> base(n), per(n);
+      std::vector<std::uint32_t> cap(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        base[j] = j % 2 ? 0.5 * static_cast<double>(rng.uniform_int(8)) : rng.uniform(0.0, 4.0);
+        per[j] = rng.bernoulli(flat_share) ? 0.0 : rng.uniform(0.0, 2.0);
+        cap[j] = static_cast<std::uint32_t>(1 + rng.uniform_int(12));
+      }
+      const LinearCosts costs(std::move(base), std::move(per), std::move(cap), 1);
+      for (const std::size_t buckets : kTrimBucketChoices) {
+        expect_lbap_matches_chain_walk(costs, 1 + rng.uniform_int(costs.total_capacity()),
+                                       buckets);
+      }
+    }
+  }
+}
+
+TEST(BucketedTrim, EqualDyadicSlopesMatchAndForceTheFallback) {
+  // Slopes 1, 0.5 and 0: once every user holds two shards or more, the
+  // sample's keys span [-1, 0], the grid's edges are multiples of 2^-12 and
+  // -0.5 is one of them. Every slope-0.5 user's key span straddles it, so a
+  // cutoff among those users fails the bracket and the fallback runs.
+  std::size_t fallbacks = 0, cases = 0;
+  common::Rng rng(101);
+  for (const std::size_t n : {std::size_t{3'000}, common::kChunkGrain + 20'000}) {
+    std::vector<double> base(n, 0.5), per(n);
+    for (std::size_t j = 0; j < n; ++j) per[j] = std::array{1.0, 0.5, 0.0}[j % 3];
+    const LinearCosts costs(base, per, std::vector<std::uint32_t>(n, 8), 1);
+    for (int t = 0; t < 24; ++t) {
+      const std::size_t buckets = kTrimBucketChoices[rng.uniform_int(std::size(kTrimBucketChoices))];
+      ++cases;
+      fallbacks += expect_lbap_matches_chain_walk(
+          costs, n * 4 + rng.uniform_int(n * 4), buckets);
+    }
+  }
+  EXPECT_GE(fallbacks, 10u) << "of " << cases << " cases";
+}
+
+TEST(BucketedTrim, HugeBaseTinySlopeMatchesChainWalk) {
+  // The widest ulp wobble relative to the slope: a 1e6 s base moves
+  // C_jk - C_j(k-1) by ~1e-10 s around slopes of ~1e-8 s, across dozens of
+  // the trim grid's buckets (no user holds one shard, so the sample's keys
+  // span only the slopes).
+  common::Rng rng(103);
+  std::size_t noisy = 0;
+  for (const std::size_t n : kOneTwoThreeChunks) {
+    std::vector<double> base(n), per(n);
+    std::vector<std::uint32_t> cap(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      base[j] = rng.uniform(1e6, 4e6);
+      per[j] = rng.uniform(0.0, 1e-7);
+      cap[j] = static_cast<std::uint32_t>(2 + rng.uniform_int(31));
+    }
+    const LinearCosts costs(std::move(base), std::move(per), std::move(cap), 1);
+    for (std::size_t j = 0; j < 1'000; ++j) {
+      noisy += costs.capacity(j) >= 3 &&
+               costs.cost(j, 3) - costs.cost(j, 2) != costs.cost(j, 2) - costs.cost(j, 1);
+    }
+    for (const std::size_t buckets : kTrimBucketChoices) {
+      expect_lbap_matches_chain_walk(costs, costs.total_capacity() / 2, buckets);
+    }
+  }
+  EXPECT_GT(noisy, 1'000u);
+}
+
+TEST(BucketedTrim, KeySpanHoldsEveryChainKey) {
+  // The classify pass files users by trim_key_span without walking their
+  // chains, so every walked key must lie in the span. Rows of 24-47 shards
+  // with C_s just above a power of two and 10-40% of it in the slope wobble
+  // the most: some keys pass 2^-52 * C_s, so a slack that tight would misfile.
+  common::Rng rng(107);
+  const std::size_t n = 100'000;
+  std::vector<double> base(n), per(n);
+  std::vector<std::uint32_t> cap(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    cap[j] = static_cast<std::uint32_t>(24 + rng.uniform_int(24));
+    const double top = std::ldexp(rng.uniform(1.01, 1.02), static_cast<int>(rng.uniform_int(20)) - 6);
+    per[j] = top * rng.uniform(0.1, 0.4) / cap[j];
+    base[j] = top - per[j] * cap[j];
+  }
+  std::size_t past_2_52 = 0;
+  const auto check = [&](const LinearCosts& costs) {
+    std::vector<UnitRun> runs;
+    for (std::size_t j = 0; j < costs.users(); ++j) {
+      for (const std::size_t s : {std::size_t{1}, std::size_t{2}, costs.capacity(j)}) {
+        if (s == 0 || s > costs.capacity(j)) continue;
+        runs.clear();
+        append_trim_runs(costs, j, s, runs);
+        const KeySpan span = trim_key_span(costs.base_seconds(j), costs.per_shard_seconds(j), s);
+        for (const UnitRun& run : runs) {
+          ASSERT_LE(span.key - span.slack, run.key) << "user " << j << ", " << s << " shards";
+          ASSERT_LE(run.key, span.key + span.slack) << "user " << j << ", " << s << " shards";
+          past_2_52 += std::fabs(run.key - span.key) > 0x1p-52 * costs.cost(j, s);
+        }
+      }
+    }
+  };
+  check(LinearCosts(std::move(base), std::move(per), std::move(cap), 1));
+  EXPECT_GT(past_2_52, 10u);
+  for (const Rows rows : {Rows::kDyadic, Rows::kUlpNoisy, Rows::kTwins}) {
+    check(random_rows(rng, 20'000, 40, rows, false, kInf));
+  }
 }
 
 TEST(ChunkedSelection, MinEnergyMatchesHeapAtThreeChunks) {
